@@ -24,10 +24,7 @@ from .exactmath import (
     RHO0,
     Polynomial,
     QuadNum,
-    Rational,
     RationalFunc,
-    poly_derive,
-    poly_eval,
     verify_sparse_identities,
 )
 from .girth5 import beta_u, first_bound, gamma, girth5_master, girth5_report, n_window, ramsey3

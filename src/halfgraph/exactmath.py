@@ -19,13 +19,6 @@ from math import comb, isqrt
 
 from .report import CheckResult, IdentityReport, run_check
 
-Rational = Fraction
-
-
-def frac(num, den=1) -> Fraction:
-    return Fraction(num, den)
-
-
 class ExactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder."""
 
@@ -492,18 +485,8 @@ class Polynomial:
         return " + ".join(bits)
 
 
-def poly_derive(p: Polynomial, var: str) -> Polynomial:
-    """Exact partial derivative of `p` with respect to `var`."""
-    return p.derive(var)
-
-
-def poly_eval(p: Polynomial, point: dict):
-    """Exact evaluation of `p`; values may live in Q or Q(sqrt(161))."""
-    return p.eval(point)
-
-
 # ---------------------------------------------------------------------------
-# Rational functions (pairs of polynomials, no reduction)
+# RationalFunc: pairs of polynomials, no reduction
 # ---------------------------------------------------------------------------
 
 

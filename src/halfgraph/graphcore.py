@@ -297,6 +297,8 @@ def load_graph6(data) -> Graph:
     body = data[offset : offset + nbytes]
     if len(body) < nbytes:
         raise Graph6Error("truncated bit vector", offset + len(body))
+    if len(data) > offset + nbytes:
+        raise Graph6Error("trailing bytes after the bit vector", offset + nbytes)
     bits = 0
     for i, b in enumerate(body):
         if not 63 <= b <= 126:
@@ -455,27 +457,38 @@ def _independent_subsets(g: Graph):
     return subsets
 
 
+@lru_cache(maxsize=None)
+def _triangle_free_level(n: int) -> tuple[tuple[tuple, Graph], ...]:
+    """(canonical key, representative) pairs on n vertices, in discovery order.
+
+    Parents must be augmented in discovery order: key order finds the same
+    classes but keeps a different first child (representative) in many.
+    """
+    if n == 1:
+        return ((canonical_key(empty(1)), empty(1)),)
+    level: dict[tuple, Graph] = {}
+    for _, parent in _triangle_free_level(n - 1):
+        for mask in _independent_subsets(parent):
+            rows = [row | ((mask >> v & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
+            rows.append(mask)
+            child = Graph(n, rows)
+            key = canonical_key(child)
+            if key not in level:
+                level[key] = child
+    return tuple(level.items())
+
+
 def enumerate_triangle_free(n: int) -> list[Graph]:
     """One representative per isomorphism class of triangle-free graphs on n vertices.
 
     Augments the (n-1)-vertex representatives by one new vertex attached to
     an independent set, deduplicating by canonical key; practical for n <= 8.
+    Each level is computed once per process; every call returns a fresh list
+    sorted by canonical key.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")
-    level = {canonical_key(empty(1)): empty(1)}
-    for m in range(2, n + 1):
-        nxt: dict[tuple, Graph] = {}
-        for parent in level.values():
-            for mask in _independent_subsets(parent):
-                rows = [row | ((mask >> v & 1) << (m - 1)) for v, row in enumerate(parent.adj)]
-                rows.append(mask)
-                child = Graph(m, rows)
-                key = canonical_key(child)
-                if key not in nxt:
-                    nxt[key] = child
-        level = nxt
-    return [level[k] for k in sorted(level)]
+    return [g for _, g in sorted(_triangle_free_level(n), key=lambda item: item[0])]
 
 
 def count_edge_rooted_flags4() -> int:

@@ -11,9 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 from .graphcore import Graph, _bits
+
+
+EXACT_MAX_N = 36  # beta_exact refuses larger graphs instead of searching
 
 
 class ResourceLimitError(Exception):
@@ -110,33 +112,6 @@ def _subset_edges(adj, mask) -> int:
     return total // 2
 
 
-def _beta_scan(g: Graph):
-    n, adj = g.n, g.adj
-    half_size = n // 2
-    best = None
-    for subset in combinations(range(n), half_size):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        doubled = 2 * _subset_edges(adj, mask)
-        if n % 2:
-            extra = min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
-            doubled += extra
-        if best is None or doubled < best[0]:
-            best = (doubled, mask)
-            if doubled == 0:
-                break
-    doubled, mask = best
-    half_vertex = None
-    if n % 2:
-        target = doubled - 2 * _subset_edges(adj, mask)
-        half_vertex = min(
-            v for v in range(n)
-            if not mask >> v & 1 and (adj[v] & mask).bit_count() == target
-        )
-    return Fraction(doubled, 2 * n * n), Half.from_mask(n, mask, half_vertex)
-
-
 def _beta_branch_bound(g: Graph, max_nodes: int):
     n, adj = g.n, g.adj
     half_size = n // 2
@@ -196,28 +171,18 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
     return Fraction(best_doubled, 2 * n * n), Half.from_mask(n, best_mask, half_vertex)
 
 
-def beta_exact(g: Graph, method: str = "auto", scan_limit: int = 20, bnb_limit: int = 36,
-               max_nodes: int = 20_000_000):
+def beta_exact(g: Graph, max_nodes: int = 20_000_000):
     """Exact beta(G) with a 0-1 (even n) or almost-0-1 (odd n) witness half.
 
-    `method` may force "scan" or "branch-bound"; in "auto" mode graphs up to
-    `scan_limit` vertices are scanned exhaustively and graphs up to
-    `bnb_limit` go through branch-and-bound.  Larger inputs raise
-    ResourceLimitError rather than approximating.
+    Runs branch-and-bound over at most `max_nodes` search nodes.  Graphs with
+    more than EXACT_MAX_N vertices, or searches that exhaust the node budget,
+    raise ResourceLimitError rather than approximating.
     """
-    if method == "scan":
-        return _beta_scan(g)
-    if method == "branch-bound":
-        return _beta_branch_bound(g, max_nodes)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    if g.n <= scan_limit:
-        return _beta_scan(g)
-    if g.n <= bnb_limit:
-        return _beta_branch_bound(g, max_nodes)
-    raise ResourceLimitError(
-        f"n={g.n} exceeds the exact-search budget (bnb_limit={bnb_limit})"
-    )
+    if g.n > EXACT_MAX_N:
+        raise ResourceLimitError(
+            f"n={g.n} exceeds the exact-search limit of {EXACT_MAX_N} vertices"
+        )
+    return _beta_branch_bound(g, max_nodes)
 
 
 # ---------------------------------------------------------------------------

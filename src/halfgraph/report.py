@@ -15,16 +15,11 @@ from fractions import Fraction
 SCHEMA_VERSION = 1
 
 
-def exact_str(value) -> str:
-    """Render a value as an exact string; Fractions keep their "p/q" form."""
-    return str(value)
-
-
 _EXACT_FORM = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def parse_exact(text: str) -> Fraction:
-    """Inverse of exact_str for rational values ("3/98", "38", "-1/2").
+    """Parse the exact string of a rational value ("3/98", "38", "-1/2").
 
     Decimal notation is rejected on purpose: every reported value must stay
     an exact rational string.
@@ -70,7 +65,7 @@ def run_check(check_id: str, claim: str, compute) -> CheckResult:
     t0 = time.perf_counter()
     computed, bound, passed = compute()
     ms = int((time.perf_counter() - t0) * 1000)
-    return CheckResult(check_id, claim, exact_str(computed), exact_str(bound), bool(passed), ms)
+    return CheckResult(check_id, claim, str(computed), str(bound), bool(passed), ms)
 
 
 @dataclass

@@ -96,18 +96,10 @@ def srg_beta_bound(q: int, c: int) -> Fraction:
 # The case analysis behind the strongly-regular theorem
 # ---------------------------------------------------------------------------
 
-_DQDC_NUMERATOR_FACTOR = None
-
-
 def _dqdc_numerator_factor() -> Polynomial:
     """Expected factor of dQ/dc's numerator (verified symbolically below)."""
-    global _DQDC_NUMERATOR_FACTOR
-    if _DQDC_NUMERATOR_FACTOR is None:
-        q, c = Polynomial.var("q"), Polynomial.var("c")
-        _DQDC_NUMERATOR_FACTOR = (
-            c**2 * q**2 + 2 * c * q**3 + q**4 + c**2 * q - q**3 - c**2 - 2 * q * c
-        )
-    return _DQDC_NUMERATOR_FACTOR
+    q, c = Polynomial.var("q"), Polynomial.var("c")
+    return c**2 * q**2 + 2 * c * q**3 + q**4 + c**2 * q - q**3 - c**2 - 2 * q * c
 
 
 def srg_case_analysis(local_search_seed: int = 1) -> IdentityReport:

@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from halfgraph.cli import main
 from halfgraph.graphcore import load_graph6, named, save_graph6
 from halfgraph.report import parse_exact, parse_report
@@ -106,6 +108,17 @@ def test_verify_girth5_with_table(tmp_path, capsys):
         parse_exact(line.split(",")[3])
 
 
-def test_verify_parallel_jobs(capsys):
-    assert main(["verify", "paper", "--section", "counts", "--jobs", "2"]) == 0
-    assert "checks passed" in capsys.readouterr().out
+@pytest.mark.parametrize("argv, message", [
+    (["beta", "exact", "--file", "{tmp}/missing.g6"], "No such file"),
+    (["beta", "exact", "--named", "gewirtz"], "n=56 exceeds"),
+    (["beta", "bound", "--method", "edge", "--file", "{tmp}/edgeless.g6"],
+     "graph has no edges"),
+])
+def test_bad_input_is_an_error_line_not_a_traceback(argv, message, tmp_path, capsys):
+    (tmp_path / "edgeless.g6").write_text("A?\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out

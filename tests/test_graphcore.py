@@ -1,5 +1,6 @@
 """Tests for the graph layer: predicates, codec, enumeration, named graphs."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -187,6 +188,21 @@ def test_enumerated_graphs_are_valid_and_distinct():
     assert all(is_triangle_free(g) and g.n == 6 for g in graphs)
 
 
+def test_enumeration_output_is_pinned():
+    # representatives and order of the n = 8 listing, as graph6 lines joined by "\n"
+    text = "\n".join(save_graph6(g) for g in enumerate_triangle_free(8))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "614cfb91d5b9701aa6fbe4131d64b8421ddc917d54f6a2fa1aae8cf17eb9d321"
+
+
+def test_enumeration_returns_fresh_lists():
+    first = enumerate_triangle_free(5)
+    second = enumerate_triangle_free(5)
+    assert first == second and first is not second
+    first.clear()
+    assert enumerate_triangle_free(5) == second
+
+
 def test_density_degree_alpha_chain():
     # rho <= max-degree/n <= alpha/n for triangle-free graphs
     for g in enumerate_triangle_free(6):
@@ -263,6 +279,10 @@ def test_graph6_header_and_errors():
     assert err.value.offset == 4
     with pytest.raises(Graph6Error):
         load_graph6(bytes([30, 70]))
+    assert load_graph6("Bx").n == 3
+    with pytest.raises(Graph6Error) as err:
+        load_graph6("Bxx")  # one byte past the 3-vertex bit vector
+    assert err.value.offset == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,12 +18,41 @@ from halfgraph.halves import (
     Half,
     HalfError,
     ResourceLimitError,
+    _subset_edges,
     beta_exact,
     beta_of_half,
     certificate,
     local_search_half,
     validate_half,
 )
+
+
+def _beta_scan(g):
+    """Exhaustive oracle: every half-size vertex subset, plus the best half-vertex."""
+    n, adj = g.n, g.adj
+    half_size = n // 2
+    best = None
+    for subset in combinations(range(n), half_size):
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        doubled = 2 * _subset_edges(adj, mask)
+        if n % 2:
+            extra = min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
+            doubled += extra
+        if best is None or doubled < best[0]:
+            best = (doubled, mask)
+            if doubled == 0:
+                break
+    doubled, mask = best
+    half_vertex = None
+    if n % 2:
+        target = doubled - 2 * _subset_edges(adj, mask)
+        half_vertex = min(
+            v for v in range(n)
+            if not mask >> v & 1 and (adj[v] & mask).bit_count() == target
+        )
+    return Fraction(doubled, 2 * n * n), Half.from_mask(n, mask, half_vertex)
 
 
 def rand_graph(rng, n, p=0.35):
@@ -134,11 +164,18 @@ def test_conjectured_global_bound_on_small_graphs():
 
 
 def test_branch_bound_matches_scan():
+    for n in range(1, 9):
+        for g in enumerate_triangle_free(n):
+            value, witness = beta_exact(g)
+            assert value == _beta_scan(g)[0]
+            assert beta_of_half(g, witness) == value
     rng = random.Random(47)
     for _ in range(8):
         n = rng.choice([11, 12, 13, 14])
         g = rand_graph(rng, n, p=0.3)
-        assert beta_exact(g, method="scan")[0] == beta_exact(g, method="branch-bound")[0]
+        value, witness = beta_exact(g)
+        assert value == _beta_scan(g)[0]
+        assert beta_of_half(g, witness) == value
 
 
 def test_beta_exact_budget_errors():
@@ -146,9 +183,7 @@ def test_beta_exact_budget_errors():
     with pytest.raises(ResourceLimitError):
         beta_exact(big)
     with pytest.raises(ResourceLimitError):
-        beta_exact(blowup(petersen(), 3), method="branch-bound", max_nodes=10)
-    with pytest.raises(ValueError):
-        beta_exact(cycle(5), method="monte-carlo")
+        beta_exact(blowup(petersen(), 3), max_nodes=10)
 
 
 # ---------------------------------------------------------------------------
