@@ -2,10 +2,10 @@
 
 All numeric output is exact ("195/4096"); the human-readable check table
 adds a decimal convenience column.  `verify paper` runs the sections of
-`halfgraph.verify`, exits 0 iff every check passes and can dump the
-machine-readable JSON report.  Bad input (a missing file, a malformed or
-too-large graph, a violated precondition) prints one `error: ...` line on
-stderr and exits 1.
+`halfgraph.verify`, shows a check that raised as an ERROR row, exits 0 iff
+every check passes and can dump the machine-readable JSON report.  Bad
+input (a missing file, a malformed or too-large graph, a violated
+precondition) prints one `error: ...` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -92,6 +92,8 @@ def cmd_beta(args) -> int:
         print(f"beta = {value}")
         print(f"half = {_format_half(witness)}")
         return 0
+    if not is_triangle_free(g):
+        raise ValueError("graph has a triangle")
     method = args.method
     if method == "krivelevich":
         print(f"bound = {krivelevich_bound(g)}")
@@ -129,13 +131,16 @@ def cmd_verify(args) -> int:
     for report in reports:
         print(f"== {report.name} ==")
         for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
+            status = "ERROR" if c.error else "PASS" if c.passed else "FAIL"
             line = f"[{status}] {c.id}: {c.claim}"
-            detail = f"    computed {c.computed}  bound {c.bound}  ({c.runtime_ms} ms)"
-            try:
-                detail += f"  ~{float(Fraction(c.computed)):.6f}"
-            except ValueError:
-                pass
+            if c.error:
+                detail = f"    error {c.error}  ({c.runtime_ms} ms)"
+            else:
+                detail = f"    computed {c.computed}  bound {c.bound}  ({c.runtime_ms} ms)"
+                try:
+                    detail += f"  ~{float(Fraction(c.computed)):.6f}"
+                except ValueError:
+                    pass
             print(line)
             print(detail)
             failed += 0 if c.passed else 1
@@ -178,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     beta = sub.add_parser("beta", help="exact beta or certified upper bounds")
     bsub = beta.add_subparsers(dest="beta_cmd", required=True)
     for name, help_text in (("exact", "exact minimum over halves"),
-                            ("bound", "certified upper bound via one construction")):
+                            ("bound", "certified upper bound via one construction "
+                                      "(triangle-free graphs only)")):
         p = bsub.add_parser(name, help=help_text)
         tgt = p.add_mutually_exclusive_group(required=True)
         tgt.add_argument("--named", choices=NAMED_GRAPH_NAMES)

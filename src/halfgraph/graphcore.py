@@ -50,6 +50,14 @@ class Graph:
         self.adj = adj
 
     @classmethod
+    def _trusted(cls, n: int, adj: tuple) -> "Graph":
+        """Wrap rows the caller built symmetric, loop-free and below 1 << n; no checks."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = adj
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -346,32 +354,36 @@ def load_graph6_lines(text: str) -> list[Graph]:
 
 
 def _refine(adj, cells):
-    """Equitable refinement of an ordered partition; deterministic."""
+    """Equitable refinement of an ordered partition; deterministic.
+
+    Splitters are tried in cell order; after a split the next try starts
+    again at the first cell, and the loop ends once every cell is a singleton.
+    """
     cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        for splitter in cells:
-            smask = 0
-            for v in splitter:
-                smask |= 1 << v
-            out = []
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
-                    continue
+    n = sum(len(c) for c in cells)
+    i = 0
+    while i < len(cells) < n:
+        smask = 0
+        for v in cells[i]:
+            smask |= 1 << v
+        out = None  # the split partition, built from the first cell that splits
+        for k, cell in enumerate(cells):
+            if len(cell) > 1:
                 groups: dict[int, list[int]] = {}
                 for v in cell:
                     groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) == 1:
-                    out.append(cell)
-                else:
-                    changed = True
-                    for key in sorted(groups):
-                        out.append(groups[key])
+                if len(groups) > 1:
+                    if out is None:
+                        out = cells[:k]
+                    out.extend(groups[key] for key in sorted(groups))
+                    continue
+            if out is not None:
+                out.append(cell)
+        if out is None:
+            i += 1
+        else:
             cells = out
-            if changed:
-                break
+            i = 0
     return cells
 
 
@@ -435,12 +447,16 @@ def canonical_key(g: Graph) -> tuple:
     Isolated vertices are stripped first (they only contribute a count),
     which keeps the search tree small on near-empty graphs.
     """
-    isolated = sum(1 for row in g.adj if row == 0)
     core_vertices = [v for v in range(g.n) if g.adj[v]]
+    isolated = g.n - len(core_vertices)
     if not core_vertices:
         return (g.n, isolated, ())
-    core = g.subgraph(core_vertices)
-    return (g.n, isolated, _canon_core(core.adj, core.n))
+    rows = g.adj
+    if isolated:
+        # the induced core's rows, relabeled in sorted order (as `subgraph` would)
+        rows = [sum(1 << i for i, u in enumerate(core_vertices) if row >> u & 1)
+                for row in rows if row]
+    return (g.n, isolated, _canon_core(rows, len(core_vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +464,22 @@ def canonical_key(g: Graph) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _independent_subsets(g: Graph):
-    """All vertex masks spanning no edge (attachment sets that stay triangle-free)."""
+def _attachment_masks(g: Graph):
+    """Independent attachment masks in increasing numeric order, twins taken lowest-first.
+
+    A mask spans no edge, so the child it makes stays triangle-free. Twins
+    are vertices with equal rows, so swapping two of them is an automorphism
+    of g. A mask that takes a twin but not a lower one maps, by that swap, to
+    a smaller independent mask whose child is isomorphic; the masks left out
+    therefore never hold the first child of a class.
+    """
     subsets = [0]
+    last_twin: dict[int, int] = {}
     for v in range(g.n):
-        lower = [s for s in subsets if not g.adj[v] & s]
+        row = g.adj[v]
+        need = last_twin.get(row, 0)
+        last_twin[row] = 1 << v
+        lower = [s for s in subsets if not row & s and s & need == need]
         subsets.extend(s | (1 << v) for s in lower)
     return subsets
 
@@ -467,11 +494,12 @@ def _triangle_free_level(n: int) -> tuple[tuple[tuple, Graph], ...]:
     if n == 1:
         return ((canonical_key(empty(1)), empty(1)),)
     level: dict[tuple, Graph] = {}
+    top = 1 << (n - 1)
     for _, parent in _triangle_free_level(n - 1):
-        for mask in _independent_subsets(parent):
-            rows = [row | ((mask >> v & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
+        for mask in _attachment_masks(parent):
+            rows = [row | top if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
             rows.append(mask)
-            child = Graph(n, rows)
+            child = Graph._trusted(n, tuple(rows))
             key = canonical_key(child)
             if key not in level:
                 level[key] = child
@@ -482,7 +510,12 @@ def enumerate_triangle_free(n: int) -> list[Graph]:
     """One representative per isomorphism class of triangle-free graphs on n vertices.
 
     Augments the (n-1)-vertex representatives by one new vertex attached to
-    an independent set, deduplicating by canonical key; practical for n <= 8.
+    an independent set and deduplicates by canonical key. The representative
+    of a class is its first child found: parents in discovery order, each
+    parent's masks in increasing numeric order. Twin-orbit pruning skips the
+    masks that take a twin (a vertex with the same neighbourhood) but not a
+    lower one, since a smaller mask already gave an isomorphic child, so the
+    representatives are those of the unpruned search. Practical for n <= 9.
     Each level is computed once per process; every call returns a fresh list
     sorted by canonical key.
     """

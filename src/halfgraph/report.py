@@ -1,14 +1,17 @@
 """Machine-readable check results shared by the verification suites and the CLI.
 
 Every numeric field is an exact string ("195/4096", never a decimal); the
-JSON layout is {"version": 1, "sections": [{"name", "checks": [...]}]}.
+JSON layout is {"version": 1, "sections": [{"name", "checks": [...]}]}; a
+check that raised instead of returning also carries an "error" string.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
+import traceback
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +40,10 @@ class CheckResult:
     bound: str
     passed: bool
     runtime_ms: int = 0
+    error: str | None = None  # only when the check raised: "Type: message (at file:line in fn)"
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "id": self.id,
             "claim": self.claim,
             "computed": self.computed,
@@ -47,6 +51,9 @@ class CheckResult:
             "pass": self.passed,
             "runtime_ms": self.runtime_ms,
         }
+        if self.error is not None:
+            data["error"] = self.error
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "CheckResult":
@@ -57,13 +64,26 @@ class CheckResult:
             bound=data["bound"],
             passed=data["pass"],
             runtime_ms=data["runtime_ms"],
+            error=data.get("error"),
         )
 
 
 def run_check(check_id: str, claim: str, compute) -> CheckResult:
-    """Time a check; `compute` returns (computed, bound, passed)."""
+    """Time a check; `compute` returns (computed, bound, passed).
+
+    A check that raises becomes a failing result whose `error` holds the
+    exception's type and message and the line that raised it, so the other
+    checks still run and report.
+    """
     t0 = time.perf_counter()
-    computed, bound, passed = compute()
+    try:
+        computed, bound, passed = compute()
+    except Exception as exc:  # one crashing check must not abort the report
+        ms = int((time.perf_counter() - t0) * 1000)
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        error = (f"{type(exc).__name__}: {exc} "
+                 f"(at {os.path.basename(where.filename)}:{where.lineno} in {where.name})")
+        return CheckResult(check_id, claim, "", "", False, ms, error)
     ms = int((time.perf_counter() - t0) * 1000)
     return CheckResult(check_id, claim, str(computed), str(bound), bool(passed), ms)
 

@@ -97,6 +97,24 @@ def test_verify_counts_section_and_json(tmp_path, capsys):
         parse_exact(check.computed)  # counts stay exact-rational strings
 
 
+def test_verify_reports_a_crashing_check_as_an_error_row(tmp_path, capsys, monkeypatch):
+    def crash():
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr("halfgraph.verify.count_edge_rooted_flags4", crash)
+    report_path = tmp_path / "report.json"
+    assert main(["verify", "paper", "--section", "counts", "--json", str(report_path)]) == 1
+    out = capsys.readouterr().out
+    assert "[PASS] counts.m6" in out and "[PASS] counts.m8" in out
+    assert "[ERROR] counts.flags4" in out
+    assert "error ZeroDivisionError: boom (at test_cli.py:" in out
+    assert "2/3 checks passed" in out
+    checks = {c.id: c for c in parse_report(json.loads(report_path.read_text()))[0].checks}
+    assert not checks["counts.flags4"].passed
+    assert checks["counts.flags4"].error.startswith("ZeroDivisionError: boom (at ")
+    assert checks["counts.m6"].error is None
+
+
 def test_verify_girth5_with_table(tmp_path, capsys):
     table = tmp_path / "table.csv"
     assert main(["verify", "paper", "--section", "girth5", "--table", str(table)]) == 0
@@ -121,4 +139,15 @@ def test_bad_input_is_an_error_line_not_a_traceback(argv, message, tmp_path, cap
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("method", ["edge", "maxdeg", "triple", "independence",
+                                    "local-search", "krivelevich"])
+def test_beta_bound_rejects_a_graph_with_a_triangle(method, tmp_path, capsys):
+    (tmp_path / "k3.g6").write_text("Bw\n")
+    argv = ["beta", "bound", "--method", method, "--file", str(tmp_path / "k3.g6")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: graph has a triangle\n"
     assert "Traceback" not in captured.err + captured.out

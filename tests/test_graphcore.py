@@ -5,9 +5,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import inf
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from halfgraph import graphcore
 from halfgraph.graphcore import (
     Graph,
     Graph6Error,
@@ -19,6 +23,7 @@ from halfgraph.graphcore import (
     complete_bipartite,
     count_edge_rooted_flags4,
     cycle,
+    empty,
     enumerate_triangle_free,
     girth,
     has_induced_2matching,
@@ -193,6 +198,123 @@ def test_enumeration_output_is_pinned():
     text = "\n".join(save_graph6(g) for g in enumerate_triangle_free(8))
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "614cfb91d5b9701aa6fbe4131d64b8421ddc917d54f6a2fa1aae8cf17eb9d321"
+
+
+# ---------------------------------------------------------------------------
+# Fast paths of enumeration and canonical labeling against their oracles
+# ---------------------------------------------------------------------------
+
+
+def _oracle_refine(adj, cells):
+    """The original equitable refinement: every pass rebuilds the partition."""
+    cells = [list(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        for splitter in cells:
+            smask = 0
+            for v in splitter:
+                smask |= 1 << v
+            out = []
+            for cell in cells:
+                if len(cell) == 1:
+                    out.append(cell)
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) == 1:
+                    out.append(cell)
+                else:
+                    changed = True
+                    for key in sorted(groups):
+                        out.append(groups[key])
+            cells = out
+            if changed:
+                break
+    return cells
+
+
+def _oracle_level(parents, n):
+    """The unpruned level loop: every independent mask of every parent, validated."""
+    level = {}
+    for parent in parents:
+        subsets = [0]
+        for v in range(parent.n):
+            subsets.extend([s | (1 << v) for s in subsets if not parent.adj[v] & s])
+        for mask in subsets:
+            rows = [row | ((mask >> v & 1) << (n - 1)) for v, row in enumerate(parent.adj)]
+            child = Graph(n, rows + [mask])
+            level.setdefault(canonical_key(child), child)
+    return list(level.items())
+
+
+@st.composite
+def graphs(draw, max_n=12, triangle_free=False):
+    """Graphs with up to max_n vertices; triangle-free ones keep each drawn edge
+    that closes no triangle, in the drawn order."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = [0] * n
+    for u, v in picked:
+        if not (triangle_free and rows[u] & rows[v]):
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+@st.composite
+def ordered_partitions(draw, n):
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refine_matches_the_oracle(data):
+    g = data.draw(graphs())
+    cells = data.draw(ordered_partitions(g.n))
+    assert graphcore._refine(g.adj, cells) == _oracle_refine(g.adj, cells)
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_canonical_key_matches_the_oracle(g):
+    # the original key: the validated induced core, labeled with the oracle refinement
+    core = [v for v in range(g.n) if g.adj[v]]
+    expected = (g.n, g.n - len(core), ())
+    if core:
+        sub = g.subgraph(core)
+        with mock.patch.object(graphcore, "_refine", _oracle_refine):
+            expected = (g.n, g.n - len(core), graphcore._canon_core(sub.adj, sub.n))
+    assert canonical_key(g) == expected
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_canonical_key_is_invariant_on_triangle_free_graphs(data):
+    g = data.draw(graphs(triangle_free=True))
+    perm = data.draw(st.permutations(range(g.n)))
+    relabeled = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert is_triangle_free(g)
+    assert canonical_key(relabeled) == canonical_key(g)
+
+
+def test_pruned_levels_match_the_unpruned_oracle():
+    parents = [empty(1)]
+    for n in range(2, 9):
+        expected = _oracle_level(parents, n)
+        assert list(graphcore._triangle_free_level(n)) == expected
+        parents = [g for _, g in expected]
+
+
+def test_enumerated_graphs_pass_full_validation():
+    for n in range(1, 9):
+        for g in enumerate_triangle_free(n):
+            assert Graph(n, g.adj) == g and is_triangle_free(g)
 
 
 def test_enumeration_returns_fresh_lists():

@@ -48,6 +48,22 @@ def test_run_check_records_outcome():
     assert c.passed and c.computed == "2" and c.runtime_ms >= 0
 
 
+def test_run_check_turns_an_exception_into_an_error_row():
+    c = run_check("x", "never computed", lambda: 1 // 0)
+    assert not c.passed and c.computed == "" and c.bound == ""
+    assert c.error.startswith("ZeroDivisionError: integer division or modulo by zero (at ")
+    assert "test_report.py:" in c.error
+    data = c.to_dict()
+    assert data["error"] == c.error
+    assert CheckResult.from_dict(data) == c
+
+
+def test_passing_check_has_no_error_field():
+    c = run_check("x", "two is two", lambda: (2, 2, True))
+    assert c.error is None
+    assert set(c.to_dict()) == {"id", "claim", "computed", "bound", "pass", "runtime_ms"}
+
+
 def test_identity_report_failures():
     rep = IdentityReport("s", [
         CheckResult("ok", "c", "1", "1", True, 0),
