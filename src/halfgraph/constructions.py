@@ -2,7 +2,8 @@
 
 Every constructor returns a BoundCertificate whose `bound` is beta(G, half)
 recomputed from the weights, never the analytic shortcut; analytic values
-ride along in `params` and are asserted against the recomputation.
+ride along in `params` and are checked against the recomputation by
+`require`, which raises CertificateError (also under python -O).
 
 Convention note: rho_x here always means |E(X)|/n^2 (within-part, no factor
 2) and rho_xy means 2|E(X,Y)|/n^2, so closed forms carry an explicit factor 2
@@ -17,7 +18,7 @@ from fractions import Fraction
 from .density import c4_density, partition_densities, rho
 from .exactmath import sparse_estimate
 from .graphcore import Graph, NamedGraph, _bits, is_triangle_free
-from .halves import BoundCertificate, Half, beta_of_half, certificate
+from .halves import BoundCertificate, Half, beta_of_half, certificate, require
 
 
 class RecipeSearchError(Exception):
@@ -90,7 +91,7 @@ def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, Boun
 
     Half i puts weight 1 on N(v_i), p_i on the rest, 0 on N(v_{3-i}); its
     value satisfies beta(G, mu_i) = (p_i * rho_{a_i b})/2 + p_i^2 * rho_b,
-    which is asserted against the recomputed bound.
+    which is checked against the recomputed bound.
     """
     split = edge_split(g, edge)
     dens = partition_densities(g, {"a1": split.a1, "a2": split.a2, "b": split.b})
@@ -105,7 +106,8 @@ def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, Boun
             "e1": split.e1, "e2": split.e2, "p": p,
         })
         closed_form = p * dens.cross[tuple(sorted((tag, "b")))] / 2 + p**2 * dens.within["b"]
-        assert cert.bound == closed_form, (cert.bound, closed_form)
+        require(cert.bound == closed_form,
+                f"edge half {tag}: bound {cert.bound} != closed form {closed_form}")
         certs.append(cert)
     return certs[0], certs[1]
 
@@ -135,7 +137,7 @@ def maxdeg_halves(g: Graph) -> BoundCertificate:
 
     mu0 avoids the neighborhood entirely; mu1 takes all of it.  The returned
     certificate carries the better actual half; the analytic value
-    rho*(1-2*Delta)/(8*(1-Delta)^2) is asserted to dominate it.
+    rho*(1-2*Delta)/(8*(1-Delta)^2) is checked to dominate it.
     """
     n = g.n
     v = min(range(n), key=lambda u: (-g.degree(u), u))
@@ -149,7 +151,8 @@ def maxdeg_halves(g: Graph) -> BoundCertificate:
     beta0 = beta_of_half(g, mu0)
     beta1 = beta_of_half(g, mu1)
     analytic = rho(g) * (1 - 2 * delta) / (8 * (1 - delta) ** 2)
-    assert analytic >= min(beta0, beta1), (analytic, beta0, beta1)
+    require(analytic >= min(beta0, beta1),
+            f"maxdeg: analytic {analytic} below both halves {beta0}, {beta1}")
     best = mu0 if beta0 <= beta1 else mu1
     return certificate(g, "maxdeg", best, {
         "vertex": v, "delta": delta, "analytic_bound": analytic,
@@ -187,7 +190,7 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
     """Best of the three halves around the heaviest edge, with the analytic value.
 
     Picks v1 of maximum degree, v2 of maximum degree inside N(v1) (ties to
-    the lowest index), builds mu0/mu1/mu2, asserts their closed
+    the lowest index), builds mu0/mu1/mu2, checks their closed
     forms, and returns the best actual half; params carry the analytic
     estimate f(rho, Delta, e2) which must dominate the best half.
     """
@@ -225,10 +228,11 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
         (split.p1 * rho_a1b + 2 * split.p1**2 * rho_b) / 2,
         (split.p2 * rho_a2b + 2 * split.p2**2 * rho_b) / 2,
     ]
-    assert values == closed_forms, (values, closed_forms)
+    require(values == closed_forms,
+            f"triple: halves {values} != closed forms {closed_forms}")
 
     analytic = sparse_estimate().eval({"rho": rho(g), "delta": delta, "e2": split.e2})
-    assert analytic >= min(values), (analytic, values)
+    require(analytic >= min(values), f"triple: analytic {analytic} below every half {values}")
     best_idx = min(range(3), key=lambda i: (values[i], i))
     best = (mu0, mu1, mu2)[best_idx]
     return certificate(g, "triple", best, {
@@ -264,7 +268,8 @@ def clebsch_recipe_half(ng: NamedGraph, edge: tuple[int, int] | None = None) -> 
     induced = sum((g.adj[w] & mask).bit_count() for w in _bits(mask)) // 2
     cert = certificate(g, "clebsch-recipe", Half.from_mask(g.n, mask),
                        {"edge": (u, v), "induced_edges": induced})
-    assert cert.bound == Fraction(induced, g.n**2)
+    require(cert.bound == Fraction(induced, g.n**2),
+            f"clebsch recipe: bound {cert.bound} != {induced}/{g.n**2}")
     return cert
 
 
@@ -298,7 +303,8 @@ def gewirtz_recipe_half(ng: NamedGraph) -> BoundCertificate:
             if induced == target_edges:
                 cert = certificate(g, "gewirtz-recipe", Half.from_mask(g.n, mask),
                                    {"roots": (a, b, c, d), "induced_edges": induced})
-                assert cert.bound == Fraction(induced, g.n**2)
+                require(cert.bound == Fraction(induced, g.n**2),
+                        f"gewirtz recipe: bound {cert.bound} != {induced}/{g.n**2}")
                 return cert
     raise RecipeSearchError(
         f"no induced 2-matching spans {target_edges} edges", best_found=best
@@ -337,7 +343,9 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
                         {"roots": (u1, u2, u3), "pivot": v,
                          "set_size": size, "induced_edges": induced},
                     )
-                    assert cert.bound == Fraction(2 * induced + 9, 2 * g.n**2)
+                    require(cert.bound == Fraction(2 * induced + 9, 2 * g.n**2),
+                            f"m22 recipe: bound {cert.bound} != "
+                            f"{2 * induced + 9}/{2 * g.n**2}")
                     return cert
     raise RecipeSearchError(
         "no root triple reached |E(A)| = 109 with a 9-neighbor pivot", best_found=best

@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import inf
 
+from . import _named_data
+
 
 class IntegrityError(Exception):
     """Embedded or constructed graph data failed its validation."""
@@ -344,10 +346,6 @@ def save_graph6(g: Graph) -> str:
     return bytes(head + body).decode("ascii")
 
 
-def load_graph6_lines(text: str) -> list[Graph]:
-    return [load_graph6(line) for line in text.splitlines() if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Canonical labeling (degree refinement + individualization)
 # ---------------------------------------------------------------------------
@@ -624,30 +622,17 @@ _NAMED_SPECS: dict[str, tuple] = {
     "petersen": (petersen, (10, 3, 0, 1)),
     "clebsch": (clebsch, (16, 5, 0, 2)),
     "hoffman_singleton": (hoffman_singleton, (50, 7, 0, 1)),
+    "gewirtz": (lambda: load_graph6(_named_data.GEWIRTZ_G6), (56, 10, 0, 2)),
+    "m22": (lambda: load_graph6(_named_data.M22_G6), (77, 16, 0, 4)),
+    "higman_sims": (lambda: load_graph6(_named_data.HIGMAN_SIMS_G6), (100, 22, 0, 6)),
 }
 
-
-def _register_embedded():
-    from . import _named_data
-
-    _NAMED_SPECS.update(
-        {
-            "gewirtz": (lambda: load_graph6(_named_data.GEWIRTZ_G6), (56, 10, 0, 2)),
-            "m22": (lambda: load_graph6(_named_data.M22_G6), (77, 16, 0, 4)),
-            "higman_sims": (lambda: load_graph6(_named_data.HIGMAN_SIMS_G6), (100, 22, 0, 6)),
-        }
-    )
-
-
-NAMED_GRAPH_NAMES = ("c5", "petersen", "clebsch", "hoffman_singleton", "gewirtz",
-                     "m22", "higman_sims")
+NAMED_GRAPH_NAMES = tuple(_NAMED_SPECS)
 
 
 @lru_cache(maxsize=None)
 def named(name: str) -> NamedGraph:
     """Load a named graph and verify its strongly-regular parameters."""
-    if len(_NAMED_SPECS) == 4:
-        _register_embedded()
     if name not in _NAMED_SPECS:
         raise ValueError(f"unknown named graph {name!r}; choose from {NAMED_GRAPH_NAMES}")
     builder, expected = _NAMED_SPECS[name]

@@ -26,6 +26,16 @@ class HalfError(ValueError):
     """Invalid weight vector for the given graph."""
 
 
+class CertificateError(ArithmeticError):
+    """A certified value disagrees with its closed form or analytic bound."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise CertificateError unless `condition` holds; unlike assert, survives python -O."""
+    if not condition:
+        raise CertificateError(message)
+
+
 @dataclass(frozen=True)
 class Half:
     weights: tuple[Fraction, ...]
@@ -249,5 +259,6 @@ def local_search_half(g: Graph, seed: int = 1, restarts: int = 20) -> BoundCerti
     cert = certificate(g, "local-search", half,
                        {"seed": seed, "restarts": restarts, "found_at_restart": found_at,
                         "induced_edges": edges})
-    assert cert.bound == Fraction(edges, g.n**2)
+    require(cert.bound == Fraction(edges, g.n**2),
+            f"local search: bound {cert.bound} != {edges}/{g.n**2}")
     return cert

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits
-from .halves import BoundCertificate, Half, beta_of_half, certificate
+from .halves import BoundCertificate, Half, beta_of_half, certificate, require
 from .report import CheckResult, IdentityReport, run_check
 
 
@@ -103,20 +103,21 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
     spill_cap = n // 2 - a_mask.bit_count()  # = (1/2 - alpha) * n
     state = grow_low_spill_set(g, a_mask, spill_cap, n // 2)
     b_mask, p_b = state.grown_mask, state.p_grown
-    assert alpha <= p_b <= Fraction(1, 2)
-    assert state.rho_grown <= 2 * (Fraction(1, 2) - alpha) * (p_b - alpha)
+    require(alpha <= p_b <= Fraction(1, 2), f"grown density {p_b} outside [{alpha}, 1/2]")
+    require(state.rho_grown <= 2 * (Fraction(1, 2) - alpha) * (p_b - alpha),
+            f"grown set has edge density {state.rho_grown} above its spill budget")
 
     if b_mask.bit_count() == n // 2:
         cert = certificate(g, "independence", Half.from_mask(n, b_mask),
                            {**base_params, "case": "greedy-filled", "p_b": p_b})
-        assert cert.bound <= (Fraction(1, 2) - alpha) ** 2
+        require(cert.bound <= (Fraction(1, 2) - alpha) ** 2,
+                f"greedy-filled half {cert.bound} above (1/2 - alpha)^2")
         return cert
 
     # every remaining vertex now spills more than the cap
-    assert all(
-        (g.adj[v] & b_mask).bit_count() > spill_cap
-        for v in range(n) if not b_mask >> v & 1
-    )
+    require(all((g.adj[v] & b_mask).bit_count() > spill_cap
+                for v in range(n) if not b_mask >> v & 1),
+            "greedy pass stopped while a vertex was still under the spill cap")
 
     # crowded vertices: more than half their edges land in the grown set
     crowded = [
@@ -163,7 +164,7 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
             p = Fraction(0)
         else:
             p = numer / p_f
-        assert 0 <= p <= 1, f"fractional weight {p} escaped [0, 1]"
+        require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
         weights = [Fraction(0)] * n
         for v in _bits(b_mask | fan_mask):
             weights[v] = Fraction(1)
@@ -175,7 +176,7 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
             best = certificate(g, "independence", mu,
                                {**base_params, "case": "fractional-rest", "p_b": p_b,
                                 "pivot": v0, "p": p})
-    assert best is not None
+    require(best is not None, "fractional case: the grown set is empty")
     return best
 
 
@@ -203,15 +204,22 @@ def _q1_form() -> Polynomial:
     )
 
 
-def independence_formula_checks() -> IdentityReport:
-    """Verify the four closed-form identities plus concavity of the averaged bound."""
-    checks: list[CheckResult] = []
+def _saturated_rbd() -> Polynomial:
+    """pb(1-alpha-pb), the reservoir cross-density at its upper bound."""
     a, b = Polynomial.variables_named("alpha", "pb")
-    q = _q_form()
-    saturated_r = b * (1 - a - b)  # the reservoir cross-density at its upper bound
+    return b * (1 - a - b)
+
+
+def independence_formula_checks() -> IdentityReport:
+    """Verify the four closed-form identities plus concavity of the averaged bound.
+
+    Each row builds the forms it needs, so one that raises becomes an ERROR row.
+    """
+    checks: list[CheckResult] = []
 
     def check_slope_at_saturation():
-        lhs = q.derive("rbd").subs("rbd", saturated_r)
+        a, b = Polynomial.variables_named("alpha", "pb")
+        lhs = _q_form().derive("rbd").subs("rbd", _saturated_rbd())
         rhs = RationalFunc(b - a, 8 * b)
         return repr(lhs.num), repr(rhs.num), lhs == rhs
 
@@ -220,7 +228,7 @@ def independence_formula_checks() -> IdentityReport:
                             check_slope_at_saturation))
 
     def check_q_at_saturation():
-        lhs = q.subs("rbd", saturated_r)
+        lhs = _q_form().subs("rbd", _saturated_rbd())
         rhs = RationalFunc(_q1_form())
         return repr(lhs.num), repr(rhs.num), lhs == rhs
 
@@ -229,6 +237,7 @@ def independence_formula_checks() -> IdentityReport:
                             check_q_at_saturation))
 
     def check_q1_slope():
+        a = Polynomial.var("alpha")
         lhs = _q1_form().derive("pb").subs("pb", a)
         rhs = (1 - 3 * a) / 2
         return repr(lhs), repr(rhs), lhs == rhs
@@ -237,6 +246,7 @@ def independence_formula_checks() -> IdentityReport:
                             "dQ1/dpb at pb = alpha equals (1-3*alpha)/2", check_q1_slope))
 
     def check_q1_diagonal():
+        a = Polynomial.var("alpha")
         lhs = _q1_form().subs("pb", a)
         rhs = a / 2 * (Fraction(1, 2) - a)
         return repr(lhs), repr(rhs), lhs == rhs
@@ -246,7 +256,7 @@ def independence_formula_checks() -> IdentityReport:
                             check_q1_diagonal))
 
     def check_concavity():
-        coeff = q.num.coefficient("rbd", 2)
+        coeff = _q_form().num.coefficient("rbd", 2)
         return repr(coeff), "-3 (over the 16*pb^2 denominator)", coeff == Polynomial.const(-3)
 
     checks.append(run_check("independence.q_concave_in_rbd",

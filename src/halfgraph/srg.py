@@ -22,7 +22,6 @@ class SrgParams:
     q: int
     c: int
     k: int
-    s: int
     n: Fraction  # rational in general; integrality is the admissibility flag
 
     @property
@@ -38,9 +37,7 @@ def srg_from_qc(q: int, c: int) -> SrgParams:
         raise ValueError(f"c = {c} outside the admissible range [1, {q * (q + 1)}]")
     k = (q + 1) * c + q * q
     n = 1 + Fraction(k, c) * (k - 1 + c)
-    s = c + 2 * q  # sqrt(c^2 + 4(k-c)) collapses to c + 2q
-    assert s * s == c * c + 4 * (k - c)
-    return SrgParams(q=q, c=c, k=k, s=s, n=n)
+    return SrgParams(q=q, c=c, k=k, n=n)
 
 
 def _rho_closed_form() -> RationalFunc:
@@ -52,20 +49,21 @@ def _rho_closed_form() -> RationalFunc:
 
 
 def rho_qc(q: int, c: int) -> Fraction:
-    """Edge density k/n as the closed-form rational function Q(q, c)."""
+    """Edge density k/n of the TFSR parameters (q, c).
+
+    Equal to the closed form Q(q, c) on every cell; the report row
+    `srg.closed_forms` proves that identity once, symbolically.
+    """
     p = srg_from_qc(q, c)
-    value = Fraction(p.k) / p.n
-    closed = _rho_closed_form().eval({"q": Fraction(q), "c": Fraction(c)})
-    assert value == closed, (value, closed)
-    return value
+    return p.k / p.n
 
 
 def krein_rho(q: int) -> Fraction:
-    """Q1(q) = Q(q, q(q+1)) = (q^2+3q+1) / (q(q+3)^2), the Krein-boundary density."""
-    value = rho_qc(q, q * (q + 1))
-    closed = Fraction(q * q + 3 * q + 1, q * (q + 3) ** 2)
-    assert value == closed
-    return value
+    """Krein-boundary density Q(q, q(q+1)).
+
+    Equal to Q1(q) = (q^2+3q+1) / (q(q+3)^2), as `srg.closed_forms` proves.
+    """
+    return rho_qc(q, q * (q + 1))
 
 
 def srg_c4(p: SrgParams) -> Fraction:
@@ -116,6 +114,23 @@ def srg_case_analysis(local_search_seed: int = 1) -> IdentityReport:
 
     checks: list[CheckResult] = []
     q_var, c_var = Polynomial.var("q"), Polynomial.var("c")
+
+    def check_closed_forms():
+        # Cross-multiplied identities of polynomials; both denominators are
+        # positive for q, c >= 1, so they hold at every (q, c) cell.
+        k = (q_var + 1) * c_var + q_var**2
+        rho_rf = _rho_closed_form()
+        density = RationalFunc(c_var * k, c_var + k * (k - 1 + c_var)) == rho_rf
+        krein = rho_rf.subs("c", q_var * (q_var + 1)) == RationalFunc(
+            q_var**2 + 3 * q_var + 1, q_var * (q_var + 3) ** 2)
+        computed = (f"k/n = Q(q, c): {'holds' if density else 'fails'}; "
+                    f"Q(q, q(q+1)) = Q1(q): {'holds' if krein else 'fails'}")
+        return computed, "both identities hold", density and krein
+
+    checks.append(run_check("srg.closed_forms",
+                            "k/n = Q(q, c) with k = (q+1)c + q^2, and "
+                            "Q(q, q(q+1)) = Q1(q) = (q^2+3q+1)/(q(q+3)^2)",
+                            check_closed_forms))
 
     def check_derivative_identity():
         rho_rf = _rho_closed_form()

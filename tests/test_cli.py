@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from halfgraph.cli import main
+from halfgraph.exactmath import ExactDivisionError
 from halfgraph.graphcore import load_graph6, named, save_graph6
 from halfgraph.report import parse_exact, parse_report
 
@@ -113,6 +114,24 @@ def test_verify_reports_a_crashing_check_as_an_error_row(tmp_path, capsys, monke
     assert not checks["counts.flags4"].passed
     assert checks["counts.flags4"].error.startswith("ZeroDivisionError: boom (at ")
     assert checks["counts.m6"].error is None
+
+
+def test_verify_sparse_reports_a_failed_division_as_rows(capsys, monkeypatch):
+    def no_division(estimate=None):
+        raise ExactDivisionError("not divisible", remainder="rho")
+
+    monkeypatch.setattr("halfgraph.exactmath.sparse_margin_poly", no_division)
+    assert main(["verify", "paper", "--section", "sparse"]) == 1
+    captured = capsys.readouterr()
+    assert "error:" not in captured.err
+    assert "[FAIL] sparse.q_is_polynomial" in captured.out
+    for check_id in ("dq_drho", "q_degrees", "q_vanishes_at_rho0", "taylor_signs",
+                     "case2_boundary"):
+        assert f"[ERROR] sparse.{check_id}:" in captured.out
+    for check_id in ("alpha0_minus_gamma", "maxdeg_petersen", "maxdeg_combination",
+                     "triple_small_graphs"):
+        assert f"[PASS] sparse.{check_id}:" in captured.out
+    assert "4/10 checks passed" in captured.out
 
 
 def test_verify_girth5_with_table(tmp_path, capsys):

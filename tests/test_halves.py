@@ -1,10 +1,17 @@
 """Tests for halves, exact beta, and local search."""
 
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+
+import halfgraph
 
 from halfgraph.graphcore import (
     Graph,
@@ -15,6 +22,7 @@ from halfgraph.graphcore import (
     petersen,
 )
 from halfgraph.halves import (
+    CertificateError,
     Half,
     HalfError,
     ResourceLimitError,
@@ -23,6 +31,7 @@ from halfgraph.halves import (
     beta_of_half,
     certificate,
     local_search_half,
+    require,
     validate_half,
 )
 
@@ -224,3 +233,33 @@ def test_certificate_recomputes_bound():
     d = cert.to_dict()
     assert d["method"] == "manual" and d["bound"] == "0"
     assert d["half"] == ["1", "0", "1", "0", "1", "0"]
+
+
+def test_require_raises_a_certificate_error():
+    require(True, "never raised")
+    with pytest.raises(CertificateError, match="closed form differs"):
+        require(False, "closed form differs")
+    assert issubclass(CertificateError, ArithmeticError)  # cli.main prints it as error: ...
+
+
+def test_require_survives_python_dash_O():
+    code = ("from halfgraph.halves import CertificateError, require\n"
+            "try:\n"
+            "    require(False, 'boom')\n"
+            "except CertificateError as err:\n"
+            "    print('raised', err)\n")
+    src = str(Path(halfgraph.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "raised boom"
+
+
+def test_package_has_no_assert_statements():
+    package = Path(halfgraph.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

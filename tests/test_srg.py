@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from halfgraph.density import c4_density, rho
-from halfgraph.exactmath import RHO0
+from halfgraph import srg
+from halfgraph.exactmath import RHO0, Polynomial, RationalFunc
 from halfgraph.graphcore import named, srg_parameters
 from halfgraph.srg import (
     SrgParams,
@@ -62,10 +63,31 @@ def test_rho_qc_known_values():
     assert rho_qc(3, 11) < RHO0
 
 
+def test_rho_qc_matches_the_closed_form_on_every_cell():
+    closed = srg._rho_closed_form()
+    for q in range(1, 11):
+        for c in range(1, q * (q + 1) + 1):
+            assert rho_qc(q, c) == closed.eval({"q": Fraction(q), "c": Fraction(c)}), (q, c)
+
+
+def test_krein_rho_matches_q1():
+    for q in range(1, 21):
+        assert krein_rho(q) == Fraction(q * q + 3 * q + 1, q * (q + 3) ** 2)
+
+
+def test_closed_forms_row_catches_a_broken_closed_form(monkeypatch):
+    exact = srg._rho_closed_form()
+    broken = RationalFunc(exact.num + Polynomial.var("q"), exact.den)
+    monkeypatch.setattr(srg, "_rho_closed_form", lambda: broken)
+    row = next(c for c in srg_case_analysis().checks if c.id == "srg.closed_forms")
+    assert not row.passed and row.error is None
+    assert row.computed == "k/n = Q(q, c): fails; Q(q, q(q+1)) = Q1(q): fails"
+
+
 def test_srg_c4_closed_form():
     assert srg_c4(srg_from_qc(1, 1)) == Fraction(9, 200)
     assert srg_c4(srg_from_qc(1, 2)) == Fraction(195, 4096)
-    c5 = SrgParams(q=0, c=1, k=2, s=1, n=Fraction(5))  # ad hoc record for C5
+    c5 = SrgParams(q=0, c=1, k=2, n=Fraction(5))  # ad hoc record for C5
     assert 3 * (c5.k**2 + c5.c**2 * (c5.n - c5.k - 1)) / c5.n**3 == Fraction(18, 125)
 
 
@@ -118,6 +140,7 @@ def test_case_analysis_report():
     report = srg_case_analysis()
     assert report.ok, report.failures()
     by_id = {c.id: c for c in report.checks}
+    assert report.checks[0].id == "srg.closed_forms"
     assert by_id["srg.q3_c12_krein"].computed == "11/560"
     assert by_id["srg.krein_q4_below_rho0"].computed == "29/196"
     assert by_id["srg.q2_c1_below_rho0"].computed == "7/50"
