@@ -15,6 +15,7 @@ that analysis relies on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 from .report import CheckResult, IdentityReport, run_check
@@ -616,11 +617,20 @@ def sparse_margin_poly(estimate: RationalFunc | None = None) -> Polynomial:
     """The margin polynomial Q with 1/50 - f = Q / sparse_margin_denominator().
 
     Raises ExactDivisionError if the scaled margin fails to be a polynomial
-    (it must be, unless `estimate` was tampered with).
+    (it must be, unless `estimate` was tampered with).  Q of the default
+    estimate is derived once per process.
     """
-    f = sparse_estimate() if estimate is None else estimate
-    margin = (RationalFunc(Polynomial.const(Fraction(1, 50))) - f) * sparse_margin_denominator()
+    if estimate is None:
+        return _default_margin_poly()
+    one_fiftieth = RationalFunc(Polynomial.const(Fraction(1, 50)))
+    margin = (one_fiftieth - estimate) * sparse_margin_denominator()
     return margin.as_polynomial()
+
+
+@lru_cache(maxsize=None)
+def _default_margin_poly() -> Polynomial:
+    # lru_cache stores no exception, so a failed division is raised on every call
+    return sparse_margin_poly(sparse_estimate())
 
 
 def edge_split_coeffs() -> dict:

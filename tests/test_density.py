@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfgraph.density import (
     c4_density,
@@ -67,6 +69,20 @@ def test_c4_fast_path_matches_brute_force():
         assert c4_density(g) == c4_brute(g)
     assert c4_density(cycle(5)) == c4_brute(cycle(5))
     assert c4_density(named("petersen").graph) == c4_brute(named("petersen").graph)
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, picked)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_c4_density_matches_the_tuple_oracle(g):
+    assert c4_density(g) == c4_brute(g)
 
 
 def test_c4_tightness_at_the_two_extremal_graphs():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfgraph import exactmath
 from halfgraph.exactmath import (
     RHO0,
     ExactDivisionError,
@@ -211,6 +212,23 @@ def test_scaled_margin_division_has_zero_remainder():
     q = sparse_margin_poly(f)
     margin = (RationalFunc(Polynomial.const(Fraction(1, 50))) - f) * sparse_margin_denominator()
     assert q * margin.den == margin.num
+
+
+def test_default_margin_poly_is_derived_once(monkeypatch):
+    q = sparse_margin_poly()
+    assert sparse_margin_poly() is q
+    assert q == sparse_margin_poly(sparse_estimate())
+    # a failed division is not memoized: it raises again on the next call
+    f = sparse_estimate()
+    monkeypatch.setattr(exactmath, "sparse_estimate",
+                        lambda: RationalFunc(f.num, f.den + Polynomial.var("delta")))
+    exactmath._default_margin_poly.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ExactDivisionError):
+            sparse_margin_poly()
+    monkeypatch.undo()
+    exactmath._default_margin_poly.cache_clear()
+    assert sparse_margin_poly() == q
 
 
 def test_verify_sparse_identities_all_pass():

@@ -364,6 +364,12 @@ def test_graph6_roundtrip_random():
         assert load_graph6(save_graph6(g)) == g
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=40))
+def test_graph6_roundtrip_property(g):
+    assert load_graph6(save_graph6(g)) == g
+
+
 def test_graph6_roundtrip_long_form():
     rng = random.Random(6)
     g = rand_graph(rng, 70, p=0.1)

@@ -10,15 +10,19 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import halfgraph
 
 from halfgraph.graphcore import (
     Graph,
+    _bits,
     blowup,
     cycle,
     empty,
     enumerate_triangle_free,
+    named,
     petersen,
 )
 from halfgraph.halves import (
@@ -26,6 +30,8 @@ from halfgraph.halves import (
     Half,
     HalfError,
     ResourceLimitError,
+    _beta_branch_bound,
+    _steepest_descent,
     _subset_edges,
     beta_exact,
     beta_of_half,
@@ -62,6 +68,96 @@ def _beta_scan(g):
             if not mask >> v & 1 and (adj[v] & mask).bit_count() == target
         )
     return Fraction(doubled, 2 * n * n), Half.from_mask(n, mask, half_vertex)
+
+
+def _oracle_beta_branch_bound(g, max_nodes):
+    """The branch-and-bound before twin-prefix pruning: the same search, every branch."""
+    n, adj = g.n, g.adj
+    half_size = n // 2
+    odd = n % 2
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+
+    mask = 0
+    for v in sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size]:
+        mask |= 1 << v
+    best_doubled = 2 * _subset_edges(adj, mask)
+    if odd:
+        best_doubled += min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
+    best_mask = mask
+
+    nodes = 0
+
+    def completion_bound(mask, size, index) -> int:
+        need = half_size - size
+        if need == 0:
+            return 0
+        gains = sorted((adj[order[i]] & mask).bit_count() for i in range(index, n))
+        return sum(gains[:need])
+
+    def walk(index: int, mask: int, size: int, edges: int):
+        nonlocal nodes, best_doubled, best_mask
+        nodes += 1
+        if nodes > max_nodes:
+            raise ResourceLimitError(f"oracle exceeded {max_nodes} nodes")
+        if size == half_size:
+            doubled = 2 * edges
+            if odd:
+                doubled += min(
+                    (adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1
+                )
+            if doubled < best_doubled:
+                best_doubled, best_mask = doubled, mask
+            return
+        if index == n or n - index < half_size - size:
+            return
+        if 2 * (edges + completion_bound(mask, size, index)) >= best_doubled:
+            return
+        v = order[index]
+        walk(index + 1, mask | (1 << v), size + 1, edges + (adj[v] & mask).bit_count())
+        walk(index + 1, mask, size, edges)
+
+    walk(0, 0, 0, 0)
+    half_vertex = None
+    if odd:
+        target = best_doubled - 2 * _subset_edges(adj, best_mask)
+        half_vertex = min(
+            v for v in range(n)
+            if not best_mask >> v & 1 and (adj[v] & best_mask).bit_count() == target
+        )
+    return Fraction(best_doubled, 2 * n * n), Half.from_mask(n, best_mask, half_vertex)
+
+
+def _oracle_steepest_descent(adj, n, mask):
+    """The steepest descent that scans all |in| * |out| swap pairs at every step."""
+    deg_in = [(adj[v] & mask).bit_count() for v in range(n)]
+    edges = sum(deg_in[v] for v in _bits(mask)) // 2
+    inside = sorted(_bits(mask))
+    outside = sorted(v for v in range(n) if not mask >> v & 1)
+    while True:
+        best_delta, best_pair = 0, None
+        for u in inside:
+            du = deg_in[u]
+            for w in outside:
+                delta = deg_in[w] - (adj[u] >> w & 1) - du
+                if delta < best_delta:
+                    best_delta, best_pair = delta, (u, w)
+        if best_pair is None:
+            return edges, mask
+        u, w = best_pair
+        mask = (mask & ~(1 << u)) | (1 << w)
+        edges += best_delta
+        for x in _bits(adj[u]):
+            deg_in[x] -= 1
+        for x in _bits(adj[w]):
+            deg_in[x] += 1
+        inside[inside.index(u)] = w
+        outside[outside.index(w)] = u
+        inside.sort()
+        outside.sort()
+
+
+def _mask(half):
+    return sum(1 << v for v, w in enumerate(half.weights) if w == 1)
 
 
 def rand_graph(rng, n, p=0.35):
@@ -195,6 +291,49 @@ def test_beta_exact_budget_errors():
         beta_exact(blowup(petersen(), 3), max_nodes=10)
 
 
+@st.composite
+def graphs_with_twins(draw, max_n=14):
+    """Random graphs, some blown up by 2 and padded with isolated vertices, relabeled."""
+    t = draw(st.sampled_from([1, 2]))
+    base_n = draw(st.integers(1, max_n // t))
+    pairs = [(u, v) for u in range(base_n) for v in range(u + 1, base_n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = blowup(Graph.from_edges(base_n, picked), t)
+    n = g.n + draw(st.integers(0, max_n - g.n))
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_twins())
+def test_twin_pruned_branch_bound_matches_the_oracle(g):
+    assert _beta_branch_bound(g, 20_000_000) == _oracle_beta_branch_bound(g, 20_000_000)
+
+
+def test_twin_pruned_branch_bound_matches_the_oracle_on_small_triangle_free_graphs():
+    for n in range(1, 9):
+        for g in enumerate_triangle_free(n):
+            assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
+
+
+def test_twin_pruned_branch_bound_matches_the_oracle_on_blowups():
+    for g in (blowup(cycle(5), 4), blowup(cycle(5), 5), blowup(petersen(), 2),
+              blowup(cycle(7), 3), blowup(enumerate_triangle_free(6)[-1], 3)):
+        assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
+
+
+def test_beta_exact_pinned_witness_of_the_c5_blowup():
+    value, witness = beta_exact(blowup(cycle(5), 6))
+    assert value == Fraction(1, 50)
+    assert witness.support() == (*range(9), *range(18, 24))
+
+
+def test_beta_exact_twin_pruning_fits_a_small_budget():
+    # the search without twin pruning visits 90,893 nodes here
+    value, _ = beta_exact(blowup(cycle(5), 6), max_nodes=5_000)
+    assert value == Fraction(1, 50)
+
+
 # ---------------------------------------------------------------------------
 # local search
 # ---------------------------------------------------------------------------
@@ -203,6 +342,60 @@ def test_beta_exact_budget_errors():
 def test_local_search_requires_even_n():
     with pytest.raises(ValueError):
         local_search_half(cycle(5))
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_local_search_requires_a_restart(restarts):
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        local_search_half(cycle(6), restarts=restarts)
+
+
+@st.composite
+def even_graphs_and_starts(draw, max_n=40):
+    """A random even-order graph (sometimes a blow-up) and a random balanced start mask."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = 2 * draw(st.integers(1, max_n // 2))
+    p = draw(st.sampled_from([0.05, 0.15, 0.3, 0.5, 0.8]))
+    if n % 4 == 0 and draw(st.booleans()):
+        g = blowup(rand_graph(rng, n // 2, p), 2)
+    else:
+        g = rand_graph(rng, n, p)
+    mask = sum(1 << v for v in rng.sample(range(n), n // 2))
+    return g, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(even_graphs_and_starts())
+def test_steepest_descent_matches_the_all_pairs_oracle(case):
+    g, mask = case
+    assert _steepest_descent(g.adj, g.n, mask) == _oracle_steepest_descent(g.adj, g.n, mask)
+
+
+def test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs():
+    rng = random.Random(53)
+    for name in ("petersen", "clebsch", "hoffman_singleton"):
+        g = named(name).graph
+        for _ in range(10):
+            mask = sum(1 << v for v in rng.sample(range(g.n), g.n // 2))
+            expected = _oracle_steepest_descent(g.adj, g.n, mask)
+            assert _steepest_descent(g.adj, g.n, mask) == expected
+
+
+# seed -> (mask of the 175-edge half, restart that found it)
+_HIGMAN_SIMS_HALVES = {
+    1: (0x2B84DEB228EE727EE87AC5049, 4),
+    2: (0x38C244D2EB27EE8EE77C17241, 3),
+    3: (0x959BD7EB7777714218A72803, 1),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_HIGMAN_SIMS_HALVES))
+def test_local_search_pinned_higman_sims_halves(seed):
+    mask, found_at = _HIGMAN_SIMS_HALVES[seed]
+    cert = local_search_half(named("higman_sims").graph, seed=seed)
+    assert _mask(cert.half) == mask
+    assert cert.params["induced_edges"] == 175 and cert.bound == Fraction(7, 400)
+    assert cert.params["found_at_restart"] == found_at
 
 
 def test_local_search_pentagon_blowup_hits_optimum():
