@@ -4,8 +4,8 @@ Everything computes in exact arithmetic: rationals, elements of
 Q(sqrt(161)), and multivariate polynomials.  The package provides the graph
 layer (enumeration, named strongly regular graphs, graph6 I/O), flag-style
 densities, exact minimum halves, every certified half construction, the
-strongly-regular case analysis, and the 80-case girth-5 driver, plus a CLI
-(`halfgraph`) that reproduces all checkable claims.
+80-case girth-5 driver, and `verify`, the one registry of the checkable
+claims, plus a CLI (`halfgraph`) that reproduces them.
 """
 
 from .constructions import (
@@ -20,13 +20,7 @@ from .constructions import (
     triple_half_bound,
 )
 from .density import DensityReport, c4_density, density_report, e_rel, partition_densities, rho
-from .exactmath import (
-    RHO0,
-    Polynomial,
-    QuadNum,
-    RationalFunc,
-    verify_sparse_identities,
-)
+from .exactmath import RHO0, Polynomial, QuadNum, RationalFunc
 from .girth5 import beta_u, first_bound, gamma, girth5_master, girth5_report, n_window, ramsey3
 from .graphcore import (
     Graph,
@@ -50,15 +44,15 @@ from .halves import (
     beta_of_half,
     local_search_half,
 )
-from .independence import GreedyState, independence_formula_checks, independence_half
+from .independence import GreedyState, independence_half
 from .srg import (
     SrgParams,
     regular_beta_bound,
     rho_qc,
     srg_beta_bound,
     srg_c4,
-    srg_case_analysis,
     srg_from_qc,
 )
+from .verify import independence_formula_checks, srg_case_analysis, verify_sparse_identities
 
 __version__ = "0.1.0"

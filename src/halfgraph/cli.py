@@ -25,6 +25,7 @@ from .girth5 import girth5_csv, girth5_report
 from .graphcore import (
     Graph,
     NAMED_GRAPH_NAMES,
+    ResourceLimitError,
     enumerate_triangle_free,
     girth,
     has_induced_2matching,
@@ -34,7 +35,7 @@ from .graphcore import (
     named,
     save_graph6,
 )
-from .halves import ResourceLimitError, beta_exact, local_search_half
+from .halves import beta_exact, local_search_half
 from .independence import independence_half
 from .report import dump_report
 from .verify import SECTIONS, run

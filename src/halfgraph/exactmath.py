@@ -7,9 +7,9 @@ and a name-sorted variable tuple so that term maps are canonical.
 
 The module also hosts the symbolic side of the sparse-graph analysis: the
 closed-form estimate f(rho, delta, e2), the margin polynomial Q defined by
-1/50 - f = Q / (200*(1-delta-e2)*(1-delta-e2+2*delta*e2)), and
-`verify_sparse_identities`, which re-checks every identity and sign condition
-that analysis relies on.
+1/50 - f = Q / (200*(1-delta-e2)*(1-delta-e2+2*delta*e2)), and the exact grid
+and Taylor-shift helpers with which the `sparse.*` rows of `halfgraph.verify`
+re-check every identity and sign condition that analysis relies on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .report import CheckResult, IdentityReport, run_check
 
 class ExactDivisionError(ArithmeticError):
     """Polynomial division left a nonzero remainder."""
@@ -582,7 +581,7 @@ class RationalFunc:
 
 
 # ---------------------------------------------------------------------------
-# The sparse-density analysis: f, Q, and its identity suite
+# The sparse-density analysis: f, Q, and the helpers of its grid checks
 # ---------------------------------------------------------------------------
 
 
@@ -689,110 +688,3 @@ def _taylor_shift(coeffs: list, x0) -> list:
             acc = acc + comb(m, r) * coeffs[m] * x0 ** (m - r)
         shifted.append(acc)
     return shifted
-
-
-def verify_sparse_identities(step: Fraction = Fraction(1, 100)) -> IdentityReport:
-    """Re-derive and check every identity behind the sparse-density theorem.
-
-    The checks cover the exact division defining Q, the factored form of
-    dQ/drho, the degree profile, the vanishing at (rho0, rho0, rho0), the
-    closed form of alpha0 - gamma, and the grid sign conditions that settle
-    both cases of the final optimization.  `step` controls the rational grid density.
-    Every row derives Q itself, so a failed division shows up as rows, never
-    as an exception that loses the report.
-    """
-    checks: list[CheckResult] = []
-
-    def check_division():
-        try:
-            q = sparse_margin_poly()
-            return "polynomial", "exact division", not q.is_zero()
-        except ExactDivisionError as err:
-            return f"remainder {err.remainder!r}", "exact division", False
-
-    checks.append(run_check("sparse.q_is_polynomial",
-                            "(1/50 - f) * 200*(1-d-e2)*(1-d-e2+2*d*e2) is a polynomial",
-                            check_division))
-
-    def check_drho():
-        rho, delta, e2 = Polynomial.variables_named("rho", "delta", "e2")
-        expected = -25 * (1 - 2 * e2) * (4 * delta**2 + 4 * delta * e2 - 4 * delta + 1)
-        lhs = sparse_margin_poly().derive("rho")
-        return repr(lhs), repr(expected), lhs == expected
-
-    checks.append(run_check("sparse.dq_drho",
-                            "dQ/drho = -25*(1-2e2)*(4d^2+4d*e2-4d+1)", check_drho))
-
-    def check_degrees():
-        q = sparse_margin_poly()
-        degs = (q.degree("rho"), q.degree("delta"), q.degree("e2"))
-        return str(degs), "(1, 2, 3)", degs == (1, 2, 3)
-
-    checks.append(run_check("sparse.q_degrees",
-                            "individual degrees of Q in (rho, delta, e2) are (1, 2, 3)",
-                            check_degrees))
-
-    def check_root():
-        val = sparse_margin_poly().eval({"rho": RHO0, "delta": RHO0, "e2": RHO0})
-        val = val if isinstance(val, QuadNum) else QuadNum(val)
-        return str(val), "0", val.sign() == 0
-
-    checks.append(run_check("sparse.q_vanishes_at_rho0",
-                            f"Q(rho0, rho0, rho0) = 0 with rho0 = {RHO0_STR}", check_root))
-
-    def check_alpha_gamma():
-        e1, e2 = Polynomial.variables_named("e1", "e2")
-        coeffs = edge_split_coeffs()
-        lhs = RationalFunc(coeffs["alpha0"]) - coeffs["gamma"]
-        rhs = RationalFunc(
-            (1 - 2 * e1) * (1 - 2 * e2) * (1 - 2 * e1 - 2 * e2),
-            2 * (1 - e1 - e2),
-        )
-        return repr(lhs), repr(rhs), lhs == rhs
-
-    checks.append(run_check("sparse.alpha0_minus_gamma",
-                            "alpha0 - gamma = (1-2e1)(1-2e2)(1-2e1-2e2) / (2(1-e1-e2))",
-                            check_alpha_gamma))
-
-    quarter = Fraction(1, 4)
-
-    def check_taylor():
-        q = sparse_margin_poly()
-        delta_grid = _rational_points(RHO0, quarter, step)
-        bad = []
-        for dv in delta_grid:
-            coeffs = _e2_coefficients(q, RHO0, dv)
-            taylor = _taylor_shift(coeffs, RHO0)
-            for r, c in enumerate(taylor):
-                ok = c.sign() >= 0 if r % 2 == 0 else c.sign() < 0
-                if not ok:
-                    bad.append((dv, r, str(c)))
-        return (f"{len(delta_grid)} grid points, {len(bad)} violations",
-                "even r >= 0, odd r < 0", not bad)
-
-    checks.append(run_check("sparse.taylor_signs",
-                            "Taylor coefficients of Q1 at e2=rho0: nonneg for even r, "
-                            "negative for odd r, for delta in [rho0, 1/4]",
-                            check_taylor))
-
-    def check_case2():
-        q = sparse_margin_poly()
-        dq_ddelta = q.derive("delta")
-        bad = []
-        for ev in _rational_points(RHO0, quarter, step):
-            on_diag = q.eval({"rho": RHO0, "delta": ev, "e2": ev})
-            at_quarter = q.eval({"rho": RHO0, "delta": quarter, "e2": ev})
-            slope = dq_ddelta.eval({"rho": RHO0, "delta": ev, "e2": ev})
-            for label, val in (("Q1(e2,e2)", on_diag), ("Q1(1/4,e2)", at_quarter),
-                               ("dQ1/ddelta|d=e2", slope)):
-                val = val if isinstance(val, QuadNum) else QuadNum(val)
-                if val.sign() < 0:
-                    bad.append((ev, label, str(val)))
-        return (f"{len(bad)} violations", ">= 0 on grid", not bad)
-
-    checks.append(run_check("sparse.case2_boundary",
-                            "Q1(e2,e2) >= 0, Q1(1/4,e2) >= 0, dQ1/ddelta|_{delta=e2} >= 0 "
-                            "for e2 in [rho0, 1/4]",
-                            check_case2))
-
-    return IdentityReport("sparse-identities", checks)

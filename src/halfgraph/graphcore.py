@@ -15,6 +15,13 @@ from math import inf
 from . import _named_data
 
 
+ENUM_MAX_N = 10  # enumerate_triangle_free refuses larger levels instead of running unbounded
+
+
+class ResourceLimitError(Exception):
+    """An exact search or enumeration exceeded its size limit or budget (never approximated)."""
+
+
 class IntegrityError(Exception):
     """Embedded or constructed graph data failed its validation."""
 
@@ -513,12 +520,16 @@ def enumerate_triangle_free(n: int) -> list[Graph]:
     parent's masks in increasing numeric order. Twin-orbit pruning skips the
     masks that take a twin (a vertex with the same neighbourhood) but not a
     lower one, since a smaller mask already gave an isomorphic child, so the
-    representatives are those of the unpruned search. Practical for n <= 9.
+    representatives are those of the unpruned search. Levels above
+    ENUM_MAX_N raise ResourceLimitError before any work.
     Each level is computed once per process; every call returns a fresh list
     sorted by canonical key.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")
+    if n > ENUM_MAX_N:
+        raise ResourceLimitError(
+            f"n={n} exceeds the enumeration limit of {ENUM_MAX_N} vertices")
     return [g for _, g in sorted(_triangle_free_level(n), key=lambda item: item[0])]
 
 

@@ -12,14 +12,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphcore import Graph, _bits
+from .graphcore import Graph, ResourceLimitError, _bits
 
 
 EXACT_MAX_N = 36  # beta_exact refuses larger graphs instead of searching
-
-
-class ResourceLimitError(Exception):
-    """An exact search exceeded its configured budget (never approximated)."""
 
 
 class HalfError(ValueError):

@@ -15,7 +15,6 @@ from fractions import Fraction
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits
 from .halves import BoundCertificate, Half, beta_of_half, certificate, require
-from .report import CheckResult, IdentityReport, run_check
 
 
 class DataInconsistencyError(Exception):
@@ -181,7 +180,8 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
 
 
 # ---------------------------------------------------------------------------
-# Symbolic checks of the averaging analysis
+# Closed forms of the averaging analysis, proved by the
+# `independence.*` rows of `halfgraph.verify`
 # ---------------------------------------------------------------------------
 
 
@@ -208,58 +208,3 @@ def _saturated_rbd() -> Polynomial:
     """pb(1-alpha-pb), the reservoir cross-density at its upper bound."""
     a, b = Polynomial.variables_named("alpha", "pb")
     return b * (1 - a - b)
-
-
-def independence_formula_checks() -> IdentityReport:
-    """Verify the four closed-form identities plus concavity of the averaged bound.
-
-    Each row builds the forms it needs, so one that raises becomes an ERROR row.
-    """
-    checks: list[CheckResult] = []
-
-    def check_slope_at_saturation():
-        a, b = Polynomial.variables_named("alpha", "pb")
-        lhs = _q_form().derive("rbd").subs("rbd", _saturated_rbd())
-        rhs = RationalFunc(b - a, 8 * b)
-        return repr(lhs.num), repr(rhs.num), lhs == rhs
-
-    checks.append(run_check("independence.dq_drbd",
-                            "dQ/drbd at rbd = pb(1-alpha-pb) equals (pb-alpha)/(8pb)",
-                            check_slope_at_saturation))
-
-    def check_q_at_saturation():
-        lhs = _q_form().subs("rbd", _saturated_rbd())
-        rhs = RationalFunc(_q1_form())
-        return repr(lhs.num), repr(rhs.num), lhs == rhs
-
-    checks.append(run_check("independence.q_saturated_is_q1",
-                            "Q at rbd = pb(1-alpha-pb) collapses to the quadratic Q1",
-                            check_q_at_saturation))
-
-    def check_q1_slope():
-        a = Polynomial.var("alpha")
-        lhs = _q1_form().derive("pb").subs("pb", a)
-        rhs = (1 - 3 * a) / 2
-        return repr(lhs), repr(rhs), lhs == rhs
-
-    checks.append(run_check("independence.dq1_dpb",
-                            "dQ1/dpb at pb = alpha equals (1-3*alpha)/2", check_q1_slope))
-
-    def check_q1_diagonal():
-        a = Polynomial.var("alpha")
-        lhs = _q1_form().subs("pb", a)
-        rhs = a / 2 * (Fraction(1, 2) - a)
-        return repr(lhs), repr(rhs), lhs == rhs
-
-    checks.append(run_check("independence.q1_diagonal",
-                            "Q1(alpha, alpha) equals (alpha/2)(1/2 - alpha)",
-                            check_q1_diagonal))
-
-    def check_concavity():
-        coeff = _q_form().num.coefficient("rbd", 2)
-        return repr(coeff), "-3 (over the 16*pb^2 denominator)", coeff == Polynomial.const(-3)
-
-    checks.append(run_check("independence.q_concave_in_rbd",
-                            "coefficient of rbd^2 in Q is -3/(16 pb^2) < 0", check_concavity))
-
-    return IdentityReport("independence-identities", checks)

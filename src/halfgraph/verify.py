@@ -1,20 +1,29 @@
-"""The verification suite: one report section per group of checkable claims.
+"""The one registry of checks: every row of `halfgraph verify paper` is declared here.
 
-Every section takes the run's seed, which only the stochastic checks
-(`srg`, `independence`) use, and returns an IdentityReport whose rows are
-exact strings.  `SECTIONS` lists the sections in report order; `run` executes
-a selection of them in that order.
+A `Check` pairs a row id and its claim with `compute(seed)`, which returns
+(computed, bound, passed); only the stochastic rows (`srg.q2_c6_higman_sims`,
+`independence.random_graphs`) use the seed.  `SECTIONS` lists the six
+sections' rows in report order, and `run` turns a selection of them into one
+IdentityReport per section.  The math modules only compute: the rows call
+their helpers through the module (`srg._rho_closed_form()`), so a patched
+helper reaches the row.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 
+from . import exactmath, independence, srg
 from .constructions import (
+    clebsch_recipe_half,
+    gewirtz_recipe_half,
     krivelevich_bound,
+    m22_recipe_half,
     maxdeg_combination_residual,
     maxdeg_halves,
     triple_half_bound,
@@ -27,7 +36,7 @@ from .density import (
     max_degree_rel,
     rho,
 )
-from .exactmath import verify_sparse_identities
+from .exactmath import RHO0, RHO0_STR, ExactDivisionError, Polynomial, QuadNum, RationalFunc
 from .girth5 import FIFTIETH, girth5_report
 from .graphcore import (
     Graph,
@@ -38,32 +47,26 @@ from .graphcore import (
     named,
     srg_parameters,
 )
-from .halves import beta_exact
-from .independence import independence_formula_checks, independence_half
-from .report import CheckResult, IdentityReport, run_check
+from .halves import beta_exact, local_search_half
+from .independence import independence_half
+from .report import IdentityReport, run_check
 from .srg import (
+    krein_rho,
     regular_beta_bound,
     rho_qc,
     srg_beta_bound,
     srg_c4,
-    srg_case_analysis,
     srg_from_qc,
 )
 
 
-def section_counts(seed: int) -> IdentityReport:
-    checks = [
-        run_check("counts.m6", "triangle-free graphs on 6 vertices: 38",
-                  lambda: (len(enumerate_triangle_free(6)), 38,
-                           len(enumerate_triangle_free(6)) == 38)),
-        run_check("counts.m8", "triangle-free graphs on 8 vertices: 410",
-                  lambda: (len(enumerate_triangle_free(8)), 410,
-                           len(enumerate_triangle_free(8)) == 410)),
-        run_check("counts.flags4", "edge-rooted triangle-free 4-vertex flags: 10",
-                  lambda: (count_edge_rooted_flags4(), 10,
-                           count_edge_rooted_flags4() == 10)),
-    ]
-    return IdentityReport("counts", checks)
+@dataclass(frozen=True)
+class Check:
+    """One report row; `compute(seed)` returns (computed, bound, passed)."""
+
+    id: str
+    claim: str
+    compute: Callable[[int], tuple]
 
 
 def _small_graphs(max_n: int) -> list[Graph]:
@@ -71,165 +74,294 @@ def _small_graphs(max_n: int) -> list[Graph]:
     return [g for n in range(1, max_n + 1) for g in enumerate_triangle_free(n)]
 
 
-def section_quadrilaterals(seed: int) -> IdentityReport:
-    checks: list[CheckResult] = []
+# ---------------------------------------------------------------------------
+# counts and quadrilaterals
+# ---------------------------------------------------------------------------
 
-    def check_beta(name):
-        def inner():
-            value = beta_exact(named(name).graph)[0]
-            return value, "1/50", value == FIFTIETH
-        return inner
 
-    checks.append(run_check("quad.beta_c5", "exact beta of the 5-cycle is 1/50",
-                            check_beta("c5")))
-    checks.append(run_check("quad.beta_petersen", "exact beta of the Petersen graph is 1/50",
-                            check_beta("petersen")))
+def _level_count(n: int, expected: int):
+    def compute(_seed):
+        found = len(enumerate_triangle_free(n))
+        return found, expected, found == expected
+    return compute
 
-    def check_trivial():
-        bad = sum(
-            1 for g in _small_graphs(8)
-            if rho(g) < 1 and c4_density(g) < c4_lower_trivial(rho(g))
-        )
+
+def _flag_count(_seed):
+    found = count_edge_rooted_flags4()
+    return found, 10, found == 10
+
+
+def _beta_is_fiftieth(name: str):
+    def compute(_seed):
+        value = beta_exact(named(name).graph)[0]
+        return value, "1/50", value == FIFTIETH
+    return compute
+
+
+def _no_violations(max_n: int, violates: Callable[[Graph], bool]):
+    """Count the graphs with n <= max_n on which `violates` holds; 0 passes."""
+    def compute(_seed):
+        bad = sum(1 for g in _small_graphs(max_n) if violates(g))
         return f"{bad} violations", "0", bad == 0
+    return compute
 
-    checks.append(run_check("quad.trivial_bound",
-                            "C4 >= 3 rho^4/(1-rho) on all triangle-free graphs, n <= 8",
-                            check_trivial))
 
-    def check_general_line():
-        bad = sum(
-            1 for g in _small_graphs(8) if c4_density(g) < c4_lower_general(rho(g))
-        )
-        return f"{bad} violations", "0", bad == 0
-
-    checks.append(run_check("quad.general_line",
-                            "C4 >= (3/2)rho^2 - (81/256)rho on all triangle-free graphs, n <= 8",
-                            check_general_line))
-
-    def check_clebsch_equality():
-        g = named("clebsch").graph
+def _c4_meets(name: str, line: Callable[[Graph], Fraction]):
+    """The named graph's C4 density equals `line(g)`, the lower line at its rho."""
+    def compute(_seed):
+        g = named(name).graph
         value = c4_density(g)
-        return value, c4_lower_general(rho(g)), value == c4_lower_general(rho(g))
-
-    checks.append(run_check("quad.clebsch_tight",
-                            "equality at the Clebsch graph (C4 = 195/4096 at rho = 5/16)",
-                            check_clebsch_equality))
-
-    def check_matchingfree_line():
-        bad = sum(
-            1 for g in _small_graphs(8)
-            if not has_induced_2matching(g)
-            and c4_density(g) < c4_lower_no_2matching(rho(g))
-        )
-        return f"{bad} violations", "0", bad == 0
-
-    checks.append(run_check("quad.matchingfree_line",
-                            "C4 >= (3/2)rho^2 - (6/25)rho without induced 2-matchings, n <= 8",
-                            check_matchingfree_line))
-
-    def check_c5_equality():
-        g = named("c5").graph
-        value = c4_density(g)
-        return value, c4_lower_no_2matching(rho(g)), value == c4_lower_no_2matching(rho(g))
-
-    checks.append(run_check("quad.c5_tight",
-                            "equality at the 5-cycle (C4 = 18/125 at rho = 2/5)",
-                            check_c5_equality))
-
-    def check_averaged_bound():
-        bad = 0
-        for g in _small_graphs(7):
-            if g.edge_count() == 0:
-                continue
-            if beta_exact(g)[0] > krivelevich_bound(g):
-                bad += 1
-        return f"{bad} violations", "0", bad == 0
-
-    checks.append(run_check("quad.averaged_split_bound",
-                            "beta <= rho/8 - C4/(12 rho) on all triangle-free graphs, n <= 7",
-                            check_averaged_bound))
-
-    return IdentityReport("quadrilaterals", checks)
+        return value, line(g), value == line(g)
+    return compute
 
 
-def section_sparse(seed: int) -> IdentityReport:
-    report = verify_sparse_identities()
-    checks = list(report.checks)
-
-    def check_maxdeg_petersen():
-        cert = maxdeg_halves(named("petersen").graph)
-        value = cert.params["analytic_bound"]
-        return value, "3/98", value == Fraction(3, 98) and cert.bound <= value
-
-    checks.append(run_check("sparse.maxdeg_petersen",
-                            "max-degree half bound on Petersen evaluates to 3/98",
-                            check_maxdeg_petersen))
-
-    def check_combination_residual():
-        bad = 0
-        for g in _small_graphs(7):
-            if g.edge_count() and max_degree_rel(g) < Fraction(1, 2):
-                if maxdeg_combination_residual(g) != 0:
-                    bad += 1
-        return f"{bad} nonzero residuals", "0", bad == 0
-
-    checks.append(run_check("sparse.maxdeg_combination",
-                            "two-half combination reproduces the degree lemma exactly, n <= 7",
-                            check_combination_residual))
-
-    def check_triple_small():
-        count = 0
-        for g in _small_graphs(7):
-            if g.edge_count() == 0 or max_degree_rel(g) > Fraction(1, 4):
-                continue
-            cert = triple_half_bound(g)  # internal closed-form asserts must hold
-            if cert.params["analytic_bound"] < beta_exact(g)[0]:
-                return "analytic below exact beta", "never", False
-            count += 1
-        return f"{count} graphs checked", "all consistent", True
-
-    checks.append(run_check("sparse.triple_small_graphs",
-                            "three-half bound consistent on all low-degree graphs, n <= 7",
-                            check_triple_small))
-
-    return IdentityReport("sparse", checks)
+# ---------------------------------------------------------------------------
+# sparse
+# ---------------------------------------------------------------------------
 
 
-def section_srg(seed: int) -> IdentityReport:
-    report = srg_case_analysis(local_search_seed=seed)
-    checks = list(report.checks)
+def _q_is_polynomial(_seed):
+    try:
+        q = exactmath.sparse_margin_poly()
+        return "polynomial", "exact division", not q.is_zero()
+    except ExactDivisionError as err:
+        return f"remainder {err.remainder!r}", "exact division", False
 
-    def check_c4_closed_form():
-        bad = []
-        for name in ("petersen", "clebsch", "hoffman_singleton", "gewirtz", "m22",
-                     "higman_sims"):
-            g = named(name).graph
-            _, k, _, c = srg_parameters(g)
-            q = (isqrt(c * c + 4 * (k - c)) - c) // 2
+
+def _dq_drho(_seed):
+    delta, e2 = Polynomial.variables_named("delta", "e2")
+    expected = -25 * (1 - 2 * e2) * (4 * delta**2 + 4 * delta * e2 - 4 * delta + 1)
+    lhs = exactmath.sparse_margin_poly().derive("rho")
+    return repr(lhs), repr(expected), lhs == expected
+
+
+def _q_degrees(_seed):
+    q = exactmath.sparse_margin_poly()
+    degs = (q.degree("rho"), q.degree("delta"), q.degree("e2"))
+    return str(degs), "(1, 2, 3)", degs == (1, 2, 3)
+
+
+def _q_vanishes_at_rho0(_seed):
+    val = exactmath.sparse_margin_poly().eval({"rho": RHO0, "delta": RHO0, "e2": RHO0})
+    val = val if isinstance(val, QuadNum) else QuadNum(val)
+    return str(val), "0", val.sign() == 0
+
+
+def _alpha0_minus_gamma(_seed):
+    e1, e2 = Polynomial.variables_named("e1", "e2")
+    coeffs = exactmath.edge_split_coeffs()
+    lhs = RationalFunc(coeffs["alpha0"]) - coeffs["gamma"]
+    rhs = RationalFunc(
+        (1 - 2 * e1) * (1 - 2 * e2) * (1 - 2 * e1 - 2 * e2),
+        2 * (1 - e1 - e2),
+    )
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
+_QUARTER = Fraction(1, 4)
+
+
+def _taylor_signs(step: Fraction, _seed):
+    q = exactmath.sparse_margin_poly()
+    delta_grid = exactmath._rational_points(RHO0, _QUARTER, step)
+    bad = []
+    for dv in delta_grid:
+        coeffs = exactmath._e2_coefficients(q, RHO0, dv)
+        taylor = exactmath._taylor_shift(coeffs, RHO0)
+        for r, c in enumerate(taylor):
+            ok = c.sign() >= 0 if r % 2 == 0 else c.sign() < 0
+            if not ok:
+                bad.append((dv, r, str(c)))
+    return (f"{len(delta_grid)} grid points, {len(bad)} violations",
+            "even r >= 0, odd r < 0", not bad)
+
+
+def _case2_boundary(step: Fraction, _seed):
+    q = exactmath.sparse_margin_poly()
+    dq_ddelta = q.derive("delta")
+    bad = []
+    for ev in exactmath._rational_points(RHO0, _QUARTER, step):
+        on_diag = q.eval({"rho": RHO0, "delta": ev, "e2": ev})
+        at_quarter = q.eval({"rho": RHO0, "delta": _QUARTER, "e2": ev})
+        slope = dq_ddelta.eval({"rho": RHO0, "delta": ev, "e2": ev})
+        for label, val in (("Q1(e2,e2)", on_diag), ("Q1(1/4,e2)", at_quarter),
+                           ("dQ1/ddelta|d=e2", slope)):
+            val = val if isinstance(val, QuadNum) else QuadNum(val)
+            if val.sign() < 0:
+                bad.append((ev, label, str(val)))
+    return (f"{len(bad)} violations", ">= 0 on grid", not bad)
+
+
+def _maxdeg_petersen(_seed):
+    cert = maxdeg_halves(named("petersen").graph)
+    value = cert.params["analytic_bound"]
+    return value, "3/98", value == Fraction(3, 98) and cert.bound <= value
+
+
+def _maxdeg_combination(_seed):
+    bad = sum(
+        1 for g in _small_graphs(7)
+        if g.edge_count() and max_degree_rel(g) < Fraction(1, 2)
+        and maxdeg_combination_residual(g) != 0
+    )
+    return f"{bad} nonzero residuals", "0", bad == 0
+
+
+def _triple_small_graphs(_seed):
+    count = 0
+    for g in _small_graphs(7):
+        if g.edge_count() == 0 or max_degree_rel(g) > Fraction(1, 4):
+            continue
+        cert = triple_half_bound(g)  # internal closed-form requirements must hold
+        if cert.params["analytic_bound"] < beta_exact(g)[0]:
+            return "analytic below exact beta", "never", False
+        count += 1
+    return f"{count} graphs checked", "all consistent", True
+
+
+# ---------------------------------------------------------------------------
+# srg: the case analysis behind the strongly-regular theorem
+# ---------------------------------------------------------------------------
+
+
+def _srg_closed_forms(_seed):
+    # Cross-multiplied identities of polynomials; both denominators are
+    # positive for q, c >= 1, so they hold at every (q, c) cell.
+    q, c = Polynomial.variables_named("q", "c")
+    k = (q + 1) * c + q**2
+    rho_rf = srg._rho_closed_form()
+    density = RationalFunc(c * k, c + k * (k - 1 + c)) == rho_rf
+    krein = rho_rf.subs("c", q * (q + 1)) == RationalFunc(q**2 + 3 * q + 1, q * (q + 3) ** 2)
+    computed = (f"k/n = Q(q, c): {'holds' if density else 'fails'}; "
+                f"Q(q, q(q+1)) = Q1(q): {'holds' if krein else 'fails'}")
+    return computed, "both identities hold", density and krein
+
+
+def _dq_dc_identity(_seed):
+    q = Polynomial.var("q")
+    rho_rf = srg._rho_closed_form()
+    derived = rho_rf.derive("c")
+    expected = RationalFunc(q * (q + 1) * srg._dqdc_numerator_factor(), rho_rf.den * rho_rf.den)
+    return "d(Q)/dc", "q(q+1)*(expected factor)/den^2", derived == expected
+
+
+def _q_increasing_in_c(_seed):
+    factor = srg._dqdc_numerator_factor()
+    bad = []
+    for q in range(1, 11):
+        for c in range(1, q * (q + 1) + 1):
+            if factor.eval({"q": Fraction(q), "c": Fraction(c)}) < 0:
+                bad.append((q, c))
+            if c > 1 and rho_qc(q, c) <= rho_qc(q, c - 1):
+                bad.append((q, c, "not strictly increasing"))
+    return f"{len(bad)} violations", ">= 0 and strictly increasing", not bad
+
+
+def _krein_decreasing(_seed):
+    values = [krein_rho(q) for q in range(1, 22)]
+    ok = all(a > b for a, b in zip(values, values[1:]))
+    return str([str(v) for v in values[:4]]), "strictly decreasing", ok
+
+
+def _below_rho0(density: Callable[[], Fraction], expected: Fraction):
+    def compute(_seed):
+        value = density()
+        return str(value), f"< rho0 = {RHO0_STR}", value == expected and RHO0 > value
+    return compute
+
+
+def _at_most_fiftieth(value_of: Callable[[], Fraction]):
+    def compute(_seed):
+        value = value_of()
+        return str(value), "<= 1/50", value <= FIFTIETH
+    return compute
+
+
+def _higman_sims(seed):
+    cert = local_search_half(named("higman_sims").graph, seed=seed)
+    return str(cert.bound), "<= 1/50 - 1/10000", cert.bound <= FIFTIETH - Fraction(1, 10**4)
+
+
+def _q2_c5_excluded(_seed):
+    p = srg_from_qc(2, 5)
+    return str(p.n), "non-integer order (inadmissible); also excluded by literature", (
+        not p.admissible
+    )
+
+
+def _krein_case(_seed):
+    value = srg_beta_bound(3, 12)
+    return str(value), "= 11/560 <= 1/50", value == Fraction(11, 560) and value <= FIFTIETH
+
+
+def _c4_closed_form_matches_graphs(_seed):
+    bad = []
+    for name in ("petersen", "clebsch", "hoffman_singleton", "gewirtz", "m22", "higman_sims"):
+        g = named(name).graph
+        _, k, _, c = srg_parameters(g)
+        q = (isqrt(c * c + 4 * (k - c)) - c) // 2
+        p = srg_from_qc(q, c)
+        if srg_c4(p) != c4_density(g) or Fraction(p.k, g.n) != rho(g):
+            bad.append(name)
+    return f"{len(bad)} mismatches", "0", not bad
+
+
+def _beta_bound_identity(_seed):
+    for q in range(1, 7):
+        for c in range(1, q * (q + 1) + 1):
             p = srg_from_qc(q, c)
-            if srg_c4(p) != c4_density(g) or Fraction(p.k, g.n) != rho(g):
-                bad.append(name)
-        return f"{len(bad)} mismatches", "0", not bad
+            if not p.admissible:
+                continue
+            if srg_beta_bound(q, c) != regular_beta_bound(rho_qc(q, c), srg_c4(p)):
+                return f"mismatch at ({q}, {c})", "identity", False
+    return "identity holds for q <= 6", "identity", True
 
-    checks.append(run_check("srg.closed_form_matches_graphs",
-                            "closed-form C4 and k/n match the actual named graphs",
-                            check_c4_closed_form))
 
-    def check_identity_grid():
-        for q in range(1, 7):
-            for c in range(1, q * (q + 1) + 1):
-                p = srg_from_qc(q, c)
-                if not p.admissible:
-                    continue
-                if srg_beta_bound(q, c) != regular_beta_bound(rho_qc(q, c), srg_c4(p)):
-                    return f"mismatch at ({q}, {c})", "identity", False
-        return "identity holds for q <= 6", "identity", True
+# ---------------------------------------------------------------------------
+# independence: the averaging analysis and the constructive half
+# ---------------------------------------------------------------------------
 
-    checks.append(run_check("srg.beta_bound_identity",
-                            "parameter bound equals the regular bound after substitution",
-                            check_identity_grid))
 
-    return IdentityReport("srg", checks)
+def _dq_drbd(_seed):
+    a, b = Polynomial.variables_named("alpha", "pb")
+    lhs = independence._q_form().derive("rbd").subs("rbd", independence._saturated_rbd())
+    rhs = RationalFunc(b - a, 8 * b)
+    return repr(lhs.num), repr(rhs.num), lhs == rhs
+
+
+def _q_saturated_is_q1(_seed):
+    lhs = independence._q_form().subs("rbd", independence._saturated_rbd())
+    rhs = RationalFunc(independence._q1_form())
+    return repr(lhs.num), repr(rhs.num), lhs == rhs
+
+
+def _dq1_dpb(_seed):
+    a = Polynomial.var("alpha")
+    lhs = independence._q1_form().derive("pb").subs("pb", a)
+    rhs = (1 - 3 * a) / 2
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
+def _q1_diagonal(_seed):
+    a = Polynomial.var("alpha")
+    lhs = independence._q1_form().subs("pb", a)
+    rhs = a / 2 * (Fraction(1, 2) - a)
+    return repr(lhs), repr(rhs), lhs == rhs
+
+
+def _q_concave_in_rbd(_seed):
+    coeff = independence._q_form().num.coefficient("rbd", 2)
+    return repr(coeff), "-3 (over the 16*pb^2 denominator)", coeff == Polynomial.const(-3)
+
+
+def _independence_petersen(_seed):
+    g = named("petersen").graph
+    _, witness = independence_number(g)
+    cert = independence_half(g, witness)
+    return cert.bound, "<= 1/50", cert.bound <= FIFTIETH
+
+
+_RANDOM_SAMPLES = 200
 
 
 def _random_triangle_free(rng, n: int, attempts: int) -> Graph:
@@ -244,78 +376,206 @@ def _random_triangle_free(rng, n: int, attempts: int) -> Graph:
     return Graph(n, rows)
 
 
-def section_independence(seed: int) -> IdentityReport:
-    samples = 200
-    report = independence_formula_checks()
-    checks = list(report.checks)
-
-    def check_petersen():
-        g = named("petersen").graph
-        _, witness = independence_number(g)
-        cert = independence_half(g, witness)
-        return cert.bound, "<= 1/50", cert.bound <= FIFTIETH
-
-    checks.append(run_check("independence.petersen",
-                            "constructive half on Petersen certifies <= 1/50",
-                            check_petersen))
-
-    def check_random_graphs():
-        rng = random.Random(seed)
-        tested = 0
-        while tested < samples:
-            n = rng.choice([12, 14, 16, 18, 20, 22, 24])
-            g = _random_triangle_free(rng, n, rng.randint(2 * n, 8 * n))
-            size, witness = independence_number(g)
-            if Fraction(size, n) < Fraction(3, 8):
-                continue
-            tested += 1
-            chosen = witness[: min(size, n // 2)]
-            cert = independence_half(g, chosen)
-            alpha = Fraction(len(chosen), n)
-            if cert.bound > alpha / 2 * (Fraction(1, 2) - alpha):
-                return f"violation on a {n}-vertex graph", "0 violations", False
-        return f"{tested} random graphs", "0 violations", True
-
-    checks.append(run_check("independence.random_graphs",
-                            f"certificate <= (alpha/2)(1/2-alpha) on {samples} random "
-                            "even-order triangle-free graphs with alpha >= 3/8",
-                            check_random_graphs))
-
-    return IdentityReport("independence", checks)
+def _independence_random_graphs(seed):
+    rng = random.Random(seed)
+    tested = 0
+    while tested < _RANDOM_SAMPLES:
+        n = rng.choice([12, 14, 16, 18, 20, 22, 24])
+        g = _random_triangle_free(rng, n, rng.randint(2 * n, 8 * n))
+        size, witness = independence_number(g)
+        if Fraction(size, n) < Fraction(3, 8):
+            continue
+        tested += 1
+        chosen = witness[: min(size, n // 2)]
+        cert = independence_half(g, chosen)
+        alpha = Fraction(len(chosen), n)
+        if cert.bound > alpha / 2 * (Fraction(1, 2) - alpha):
+            return f"violation on a {n}-vertex graph", "0 violations", False
+    return f"{tested} random graphs", "0 violations", True
 
 
-def section_girth5(seed: int) -> IdentityReport:
-    checks: list[CheckResult] = []
-    for variant, tag in ((False, "plain"), (True, "truncated")):
-        def check_table(variant=variant):
-            rows = girth5_report(truncated_inner=variant)
-            per_k = {}
-            for r in rows:
-                per_k[r.k] = per_k.get(r.k, 0) + 1
-            good = sum(1 for r in rows if r.passed)
-            ok = (
-                len(rows) == 80
-                and per_k == {2: 10, 3: 19, 4: 26, 5: 25}
-                and good == len(rows)
-            )
-            return f"{good}/{len(rows)} cases pass", "80/80 (per-k 10/19/26/25)", ok
-
-        checks.append(run_check(f"girth5.table_{tag}",
-                                f"all 80 (k, n) cases certify <= 1/50 ({tag} subtraction)",
-                                check_table))
-    return IdentityReport("girth5", checks)
+def _girth5_table(truncated: bool):
+    def compute(_seed):
+        rows = girth5_report(truncated_inner=truncated)
+        per_k = {}
+        for r in rows:
+            per_k[r.k] = per_k.get(r.k, 0) + 1
+        good = sum(1 for r in rows if r.passed)
+        ok = len(rows) == 80 and per_k == {2: 10, 3: 19, 4: 26, 5: 25} and good == len(rows)
+        return f"{good}/{len(rows)} cases pass", "80/80 (per-k 10/19/26/25)", ok
+    return compute
 
 
-SECTIONS: dict[str, Callable[[int], IdentityReport]] = {
-    "counts": section_counts,
-    "quadrilaterals": section_quadrilaterals,
-    "sparse": section_sparse,
-    "srg": section_srg,
-    "independence": section_independence,
-    "girth5": section_girth5,
+# ---------------------------------------------------------------------------
+# The registry
+# ---------------------------------------------------------------------------
+
+
+def _sparse_identities(step: Fraction) -> list[Check]:
+    """The identities behind the sparse-density theorem; `step` spaces the exact grid.
+
+    Every row derives Q itself, so a failed division shows up as rows, never
+    as an exception that loses the report.
+    """
+    return [
+        Check("sparse.q_is_polynomial",
+              "(1/50 - f) * 200*(1-d-e2)*(1-d-e2+2*d*e2) is a polynomial", _q_is_polynomial),
+        Check("sparse.dq_drho", "dQ/drho = -25*(1-2e2)*(4d^2+4d*e2-4d+1)", _dq_drho),
+        Check("sparse.q_degrees",
+              "individual degrees of Q in (rho, delta, e2) are (1, 2, 3)", _q_degrees),
+        Check("sparse.q_vanishes_at_rho0",
+              f"Q(rho0, rho0, rho0) = 0 with rho0 = {RHO0_STR}", _q_vanishes_at_rho0),
+        Check("sparse.alpha0_minus_gamma",
+              "alpha0 - gamma = (1-2e1)(1-2e2)(1-2e1-2e2) / (2(1-e1-e2))", _alpha0_minus_gamma),
+        Check("sparse.taylor_signs",
+              "Taylor coefficients of Q1 at e2=rho0: nonneg for even r, "
+              "negative for odd r, for delta in [rho0, 1/4]", partial(_taylor_signs, step)),
+        Check("sparse.case2_boundary",
+              "Q1(e2,e2) >= 0, Q1(1/4,e2) >= 0, dQ1/ddelta|_{delta=e2} >= 0 "
+              "for e2 in [rho0, 1/4]", partial(_case2_boundary, step)),
+    ]
+
+
+# Monotonicity of Q in c and of Q1 in q confine the theorem to q in {1, 2, 3};
+# the surviving (q, c) cells map to exact density comparisons against rho0,
+# to the named-graph certificates, or to the Krein bound 11/560.  Literature
+# exclusions are recorded as assumptions, not computed.
+SRG_CASES = [
+    Check("srg.closed_forms",
+          "k/n = Q(q, c) with k = (q+1)c + q^2, and "
+          "Q(q, q(q+1)) = Q1(q) = (q^2+3q+1)/(q(q+3)^2)", _srg_closed_forms),
+    Check("srg.dq_dc_identity",
+          "factored numerator of dQ/dc matches the symbolic derivative", _dq_dc_identity),
+    Check("srg.q_increasing_in_c",
+          "dQ/dc numerator >= 0 and Q(q, c) strictly increasing in c "
+          "for 1 <= q <= 10, 1 <= c <= q(q+1)", _q_increasing_in_c),
+    Check("srg.krein_density_decreasing", "Q1(q) strictly decreasing for q = 1..20",
+          _krein_decreasing),
+    Check("srg.krein_q4_below_rho0", "Q1(4) = 29/196 < rho0",
+          _below_rho0(lambda: krein_rho(4), Fraction(29, 196))),
+    Check("srg.q2_c1_below_rho0", "Q(2,1) = 7/50 < rho0",
+          _below_rho0(lambda: rho_qc(2, 1), Fraction(7, 50))),
+    Check("srg.q3_c11_below_rho0", "Q(3,11) = 583/3350 < rho0",
+          _below_rho0(lambda: rho_qc(3, 11), Fraction(583, 3350))),
+    Check("srg.q1_c1_petersen", "q=1, c=1 (Petersen): beta = 1/50",
+          _at_most_fiftieth(lambda: beta_exact(named("petersen").graph)[0])),
+    Check("srg.q1_c2_clebsch",
+          "q=1, c=2 (Clebsch): neighborhood-union half certifies <= 1/50",
+          _at_most_fiftieth(lambda: clebsch_recipe_half(named("clebsch")).bound)),
+    Check("srg.q2_c2_gewirtz", "q=2, c=2 (Gewirtz): recipe half certifies <= 1/50",
+          _at_most_fiftieth(lambda: gewirtz_recipe_half(named("gewirtz")).bound)),
+    Check("srg.q2_c4_m22", "q=2, c=4 (M22): recipe half certifies <= 1/50",
+          _at_most_fiftieth(lambda: m22_recipe_half(named("m22")).bound)),
+    Check("srg.q2_c6_higman_sims",
+          "q=2, c=6 (Higman-Sims): local search certifies <= 1/50 - 10^-4", _higman_sims),
+    Check("srg.q2_c3_excluded",
+          "q=2, c=3: ruled out by known arithmetic conditions (assumption)",
+          lambda _seed: ("assumed", "excluded by literature (not computed)", True)),
+    Check("srg.q2_c5_excluded", "q=2, c=5: order n is not an integer", _q2_c5_excluded),
+    Check("srg.q3_c12_krein", "q=3, c=12: beta bound 11/560 <= 1/50", _krein_case),
+]
+
+# The four closed-form identities of the averaged bound, plus its concavity.
+INDEPENDENCE_IDENTITIES = [
+    Check("independence.dq_drbd",
+          "dQ/drbd at rbd = pb(1-alpha-pb) equals (pb-alpha)/(8pb)", _dq_drbd),
+    Check("independence.q_saturated_is_q1",
+          "Q at rbd = pb(1-alpha-pb) collapses to the quadratic Q1", _q_saturated_is_q1),
+    Check("independence.dq1_dpb", "dQ1/dpb at pb = alpha equals (1-3*alpha)/2", _dq1_dpb),
+    Check("independence.q1_diagonal", "Q1(alpha, alpha) equals (alpha/2)(1/2 - alpha)",
+          _q1_diagonal),
+    Check("independence.q_concave_in_rbd", "coefficient of rbd^2 in Q is -3/(16 pb^2) < 0",
+          _q_concave_in_rbd),
+]
+
+SECTIONS: dict[str, list[Check]] = {
+    "counts": [
+        Check("counts.m6", "triangle-free graphs on 6 vertices: 38", _level_count(6, 38)),
+        Check("counts.m8", "triangle-free graphs on 8 vertices: 410", _level_count(8, 410)),
+        Check("counts.flags4", "edge-rooted triangle-free 4-vertex flags: 10", _flag_count),
+    ],
+    "quadrilaterals": [
+        Check("quad.beta_c5", "exact beta of the 5-cycle is 1/50", _beta_is_fiftieth("c5")),
+        Check("quad.beta_petersen", "exact beta of the Petersen graph is 1/50",
+              _beta_is_fiftieth("petersen")),
+        Check("quad.trivial_bound",
+              "C4 >= 3 rho^4/(1-rho) on all triangle-free graphs, n <= 8",
+              _no_violations(8, lambda g: rho(g) < 1
+                             and c4_density(g) < c4_lower_trivial(rho(g)))),
+        Check("quad.general_line",
+              "C4 >= (3/2)rho^2 - (81/256)rho on all triangle-free graphs, n <= 8",
+              _no_violations(8, lambda g: c4_density(g) < c4_lower_general(rho(g)))),
+        Check("quad.clebsch_tight",
+              "equality at the Clebsch graph (C4 = 195/4096 at rho = 5/16)",
+              _c4_meets("clebsch", lambda g: c4_lower_general(rho(g)))),
+        Check("quad.matchingfree_line",
+              "C4 >= (3/2)rho^2 - (6/25)rho without induced 2-matchings, n <= 8",
+              _no_violations(8, lambda g: not has_induced_2matching(g)
+                             and c4_density(g) < c4_lower_no_2matching(rho(g)))),
+        Check("quad.c5_tight", "equality at the 5-cycle (C4 = 18/125 at rho = 2/5)",
+              _c4_meets("c5", lambda g: c4_lower_no_2matching(rho(g)))),
+        Check("quad.averaged_split_bound",
+              "beta <= rho/8 - C4/(12 rho) on all triangle-free graphs, n <= 7",
+              _no_violations(7, lambda g: g.edge_count() > 0
+                             and beta_exact(g)[0] > krivelevich_bound(g))),
+    ],
+    "sparse": [
+        *_sparse_identities(Fraction(1, 100)),
+        Check("sparse.maxdeg_petersen", "max-degree half bound on Petersen evaluates to 3/98",
+              _maxdeg_petersen),
+        Check("sparse.maxdeg_combination",
+              "two-half combination reproduces the degree lemma exactly, n <= 7",
+              _maxdeg_combination),
+        Check("sparse.triple_small_graphs",
+              "three-half bound consistent on all low-degree graphs, n <= 7",
+              _triple_small_graphs),
+    ],
+    "srg": [
+        *SRG_CASES,
+        Check("srg.closed_form_matches_graphs",
+              "closed-form C4 and k/n match the actual named graphs",
+              _c4_closed_form_matches_graphs),
+        Check("srg.beta_bound_identity",
+              "parameter bound equals the regular bound after substitution",
+              _beta_bound_identity),
+    ],
+    "independence": [
+        *INDEPENDENCE_IDENTITIES,
+        Check("independence.petersen", "constructive half on Petersen certifies <= 1/50",
+              _independence_petersen),
+        Check("independence.random_graphs",
+              f"certificate <= (alpha/2)(1/2-alpha) on {_RANDOM_SAMPLES} random "
+              "even-order triangle-free graphs with alpha >= 3/8",
+              _independence_random_graphs),
+    ],
+    "girth5": [
+        Check(f"girth5.table_{tag}",
+              f"all 80 (k, n) cases certify <= 1/50 ({tag} subtraction)", _girth5_table(truncated))
+        for truncated, tag in ((False, "plain"), (True, "truncated"))
+    ],
 }
+
+
+def _report(name: str, checks: list[Check], seed: int) -> IdentityReport:
+    return IdentityReport(name, [run_check(c.id, c.claim, partial(c.compute, seed))
+                                 for c in checks])
 
 
 def run(names, seed: int) -> list[IdentityReport]:
     """Run the named sections in the given order with one seed."""
-    return [SECTIONS[name](seed) for name in names]
+    return [_report(name, SECTIONS[name], seed) for name in names]
+
+
+def srg_case_analysis(local_search_seed: int = 1) -> IdentityReport:
+    """The 15 rows of the decision tree that reduces the TFSR theorem to named graphs."""
+    return _report("srg-cases", SRG_CASES, local_search_seed)
+
+
+def verify_sparse_identities(step: Fraction = Fraction(1, 100)) -> IdentityReport:
+    """The 7 identity and grid-sign rows of the sparse-density theorem on a grid of `step`."""
+    return _report("sparse-identities", _sparse_identities(step), 1)
+
+
+def independence_formula_checks() -> IdentityReport:
+    """The 5 closed-form rows of the independence construction's averaging analysis."""
+    return _report("independence-identities", INDEPENDENCE_IDENTITIES, 1)

@@ -21,7 +21,7 @@ from halfgraph.density import (
     c4_lower_no_2matching,
     rho,
 )
-from halfgraph.exactmath import RHO0, verify_sparse_identities
+from halfgraph.exactmath import RHO0
 from halfgraph.girth5 import girth5_report
 from halfgraph.graphcore import (
     Graph,
@@ -32,7 +32,8 @@ from halfgraph.graphcore import (
     named,
 )
 from halfgraph.halves import beta_exact, beta_of_half, local_search_half
-from halfgraph.independence import independence_formula_checks, independence_half
+from halfgraph.independence import independence_half
+from halfgraph.verify import independence_formula_checks, verify_sparse_identities
 
 FIFTY = Fraction(1, 50)
 

@@ -21,6 +21,17 @@ def test_enumerate_rejects_zero(capsys):
     assert "at least 1" in capsys.readouterr().err
 
 
+def test_enumerate_above_the_limit_is_an_error_line(capsys, monkeypatch):
+    def level(n):
+        pytest.fail(f"the enumeration of level {n} started")
+
+    monkeypatch.setattr("halfgraph.graphcore._triangle_free_level", level)
+    assert main(["graphs", "enumerate", "--n", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n=40 exceeds the enumeration limit of 10 vertices\n"
+
+
 def test_enumerate_emits_decodable_graph6(capsys):
     assert main(["graphs", "enumerate", "--n", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -17,9 +17,9 @@ from halfgraph.exactmath import (
     sparse_estimate,
     sparse_margin_denominator,
     sparse_margin_poly,
-    verify_sparse_identities,
     _rational_points,
 )
+from halfgraph.verify import verify_sparse_identities
 
 
 def rand_fraction(rng):

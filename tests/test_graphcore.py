@@ -325,6 +325,19 @@ def test_enumeration_returns_fresh_lists():
     assert enumerate_triangle_free(5) == second
 
 
+def test_enumeration_refuses_levels_above_the_limit(monkeypatch):
+    def level(n):
+        if n > graphcore.ENUM_MAX_N:
+            pytest.fail(f"the enumeration of level {n} started")
+        return ()
+
+    monkeypatch.setattr(graphcore, "_triangle_free_level", level)
+    assert enumerate_triangle_free(graphcore.ENUM_MAX_N) == []
+    for n in (graphcore.ENUM_MAX_N + 1, 40):
+        with pytest.raises(graphcore.ResourceLimitError, match="enumeration limit of 10"):
+            enumerate_triangle_free(n)
+
+
 def test_density_degree_alpha_chain():
     # rho <= max-degree/n <= alpha/n for triangle-free graphs
     for g in enumerate_triangle_free(6):

@@ -17,9 +17,9 @@ from halfgraph.graphcore import (
 from halfgraph.halves import beta_of_half
 from halfgraph.independence import (
     grow_low_spill_set,
-    independence_formula_checks,
     independence_half,
 )
+from halfgraph.verify import independence_formula_checks
 
 
 def random_triangle_free(rng, n, attempts):

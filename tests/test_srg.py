@@ -15,9 +15,9 @@ from halfgraph.srg import (
     rho_qc,
     srg_beta_bound,
     srg_c4,
-    srg_case_analysis,
     srg_from_qc,
 )
+from halfgraph.verify import srg_case_analysis
 
 
 def qc_of(params4: tuple[int, int, int, int]) -> tuple[int, int]:
