@@ -469,14 +469,25 @@ def canonical_key(g: Graph) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _graph_from_key(key: tuple) -> Graph:
+    """The canonical form of a class: core rows in canonical order, isolated vertices last."""
+    n, _, core = key
+    rows = [0] * n
+    for i, lower in enumerate(core):
+        rows[i] |= lower
+        for j in _bits(lower):
+            rows[j] |= 1 << i
+    return Graph._trusted(n, tuple(rows))
+
+
 def _attachment_masks(g: Graph):
     """Independent attachment masks in increasing numeric order, twins taken lowest-first.
 
     A mask spans no edge, so the child it makes stays triangle-free. Twins
-    are vertices with equal rows, so swapping two of them is an automorphism
-    of g. A mask that takes a twin but not a lower one maps, by that swap, to
-    a smaller independent mask whose child is isomorphic; the masks left out
-    therefore never hold the first child of a class.
+    are vertices with equal rows; swapping two of them is an automorphism of
+    g, hence an isomorphism of the children that fixes the new vertex. A mask
+    that takes a twin but not a lower one maps, by that swap, to a smaller
+    mask of the same size, so the masks left out lose no class.
     """
     subsets = [0]
     last_twin: dict[int, int] = {}
@@ -490,47 +501,49 @@ def _attachment_masks(g: Graph):
 
 
 @lru_cache(maxsize=None)
-def _triangle_free_level(n: int) -> tuple[tuple[tuple, Graph], ...]:
-    """(canonical key, representative) pairs on n vertices, in discovery order.
+def _triangle_free_level(n: int) -> tuple[Graph, ...]:
+    """The canonical form of every class on n vertices, sorted by canonical key.
 
-    Parents must be augmented in discovery order: key order finds the same
-    classes but keeps a different first child (representative) in many.
+    A child is kept only when its new vertex has maximum degree: with k = |mask|
+    and D the parent's maximum degree, k >= D, and k > D if the mask holds a
+    vertex of degree D. Only the children kept are canonized.
     """
     if n == 1:
-        return ((canonical_key(empty(1)), empty(1)),)
-    level: dict[tuple, Graph] = {}
+        return (empty(1),)
+    keys = set()
     top = 1 << (n - 1)
-    for _, parent in _triangle_free_level(n - 1):
+    for parent in _triangle_free_level(n - 1):
+        dmax = parent.max_degree()
+        peak = sum(1 << v for v, row in enumerate(parent.adj) if row.bit_count() == dmax)
         for mask in _attachment_masks(parent):
+            if mask.bit_count() < dmax + bool(mask & peak):
+                continue
             rows = [row | top if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
             rows.append(mask)
-            child = Graph._trusted(n, tuple(rows))
-            key = canonical_key(child)
-            if key not in level:
-                level[key] = child
-    return tuple(level.items())
+            keys.add(canonical_key(Graph._trusted(n, tuple(rows))))
+    return tuple(_graph_from_key(key) for key in sorted(keys))
 
 
 def enumerate_triangle_free(n: int) -> list[Graph]:
-    """One representative per isomorphism class of triangle-free graphs on n vertices.
+    """One graph per isomorphism class of triangle-free graphs on n vertices.
 
-    Augments the (n-1)-vertex representatives by one new vertex attached to
-    an independent set and deduplicates by canonical key. The representative
-    of a class is its first child found: parents in discovery order, each
-    parent's masks in increasing numeric order. Twin-orbit pruning skips the
-    masks that take a twin (a vertex with the same neighbourhood) but not a
-    lower one, since a smaller mask already gave an isomorphic child, so the
-    representatives are those of the unpruned search. Levels above
-    ENUM_MAX_N raise ResourceLimitError before any work.
-    Each level is computed once per process; every call returns a fresh list
-    sorted by canonical key.
+    Canonical deletion of a maximum-degree vertex: each (n-1)-vertex class
+    gets a new vertex attached to an independent set, kept only when the new
+    vertex has maximum degree, and the children are deduplicated by canonical
+    key. No class is lost: a class C has a vertex v of maximum degree, C - v
+    is isomorphic to some parent P, and N(v) maps to an independent mask of P
+    that twin pruning keeps or swaps for one whose child is isomorphic by an
+    isomorphism fixing the new vertex. Each class is listed in its canonical
+    form (core in canonical order, isolated vertices last), sorted by key.
+    Levels above ENUM_MAX_N raise ResourceLimitError before any work. Each
+    level is computed once per process; every call returns a fresh list.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")
     if n > ENUM_MAX_N:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration limit of {ENUM_MAX_N} vertices")
-    return [g for _, g in sorted(_triangle_free_level(n), key=lambda item: item[0])]
+    return list(_triangle_free_level(n))
 
 
 def count_edge_rooted_flags4() -> int:

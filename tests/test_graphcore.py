@@ -158,9 +158,16 @@ def test_canonical_key_separates_same_degree_sequence():
 
 
 def test_enumeration_counts():
-    expected = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410}
+    expected = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
     for n, count in expected.items():
         assert len(enumerate_triangle_free(n)) == count
+    # the n = 9 classes by edge count: index m holds the number with m edges
+    by_edges = [1, 1, 2, 4, 9, 18, 40, 79, 145, 223, 308,
+                341, 308, 207, 118, 53, 25, 9, 4, 1, 1]
+    histogram = [0] * len(by_edges)
+    for g in enumerate_triangle_free(9):
+        histogram[g.edge_count()] += 1
+    assert histogram == by_edges
 
 
 def test_enumeration_counts_cross_checked_with_atlas():
@@ -194,10 +201,10 @@ def test_enumerated_graphs_are_valid_and_distinct():
 
 
 def test_enumeration_output_is_pinned():
-    # representatives and order of the n = 8 listing, as graph6 lines joined by "\n"
+    # canonical forms and order of the n = 8 listing, as graph6 lines joined by "\n"
     text = "\n".join(save_graph6(g) for g in enumerate_triangle_free(8))
     digest = hashlib.sha256(text.encode()).hexdigest()
-    assert digest == "614cfb91d5b9701aa6fbe4131d64b8421ddc917d54f6a2fa1aae8cf17eb9d321"
+    assert digest == "d32220b4a9d22d22457301f48de08b816417b8536d8001d5dd23a5d3c2f240bb"
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +311,23 @@ def test_canonical_key_is_invariant_on_triangle_free_graphs(data):
 
 
 def test_pruned_levels_match_the_unpruned_oracle():
+    # the oracle grows its own corpus; representatives differ by design, keys must not
     parents = [empty(1)]
     for n in range(2, 9):
         expected = _oracle_level(parents, n)
-        assert list(graphcore._triangle_free_level(n)) == expected
+        level = enumerate_triangle_free(n)
+        assert [canonical_key(g) for g in level] == sorted(key for key, _ in expected)
+        assert all(g == graphcore._graph_from_key(canonical_key(g)) for g in level)
         parents = [g for _, g in expected]
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_graph_from_key_round_trips(g):
+    key = canonical_key(g)
+    decoded = graphcore._graph_from_key(key)
+    assert Graph(decoded.n, decoded.adj) == decoded
+    assert canonical_key(decoded) == key
 
 
 def test_enumerated_graphs_pass_full_validation():
