@@ -19,7 +19,7 @@ from .constructions import (
     maxdeg_halves,
     triple_half_bound,
 )
-from .density import DensityReport, c4_density, density_report, e_rel, partition_densities, rho
+from .density import c4_density, partition_densities, rho
 from .exactmath import RHO0, Polynomial, QuadNum, RationalFunc
 from .girth5 import beta_u, first_bound, gamma, girth5_master, girth5_report, n_window, ramsey3
 from .graphcore import (

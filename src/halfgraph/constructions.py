@@ -17,16 +17,26 @@ from fractions import Fraction
 
 from .density import c4_density, partition_densities, rho
 from .exactmath import sparse_estimate
-from .graphcore import Graph, NamedGraph, _bits, is_triangle_free
+from .graphcore import (
+    Graph,
+    NamedGraph,
+    _bits,
+    _induced_2matchings,
+    _induced_edges,
+    _mask_of,
+    is_triangle_free,
+)
 from .halves import BoundCertificate, Half, beta_of_half, certificate, require
 
 
 class RecipeSearchError(Exception):
     """A recipe search exhausted its candidates without the stated counts."""
 
-    def __init__(self, message, best_found=None):
-        super().__init__(message)
-        self.best_found = best_found
+
+def _search_failed(message: str, best) -> RecipeSearchError:
+    """The error for an exhausted search, naming the closest (count, roots) it saw."""
+    closest = f"closest {best[0]} edges at roots {best[1]}" if best else "no candidate"
+    return RecipeSearchError(f"{message}; {closest}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +142,14 @@ def krivelevich_bound(g: Graph) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _max_degree_split(g: Graph):
+    """(v, Delta, N(v), V - N(v)) for the lowest-index vertex v of maximum degree."""
+    v = min(range(g.n), key=lambda u: (-g.degree(u), u))
+    hood = tuple(_bits(g.adj[v]))
+    rest = tuple(u for u in range(g.n) if not g.adj[v] >> u & 1)
+    return v, Fraction(len(hood), g.n), hood, rest
+
+
 def maxdeg_halves(g: Graph) -> BoundCertificate:
     """Two halves built from a maximum-degree vertex, plus the analytic bound.
 
@@ -140,12 +158,9 @@ def maxdeg_halves(g: Graph) -> BoundCertificate:
     rho*(1-2*Delta)/(8*(1-Delta)^2) is checked to dominate it.
     """
     n = g.n
-    v = min(range(n), key=lambda u: (-g.degree(u), u))
-    delta = Fraction(g.degree(v), n)
+    v, delta, hood, rest = _max_degree_split(g)
     if delta >= Fraction(1, 2):
         raise ValueError(f"max degree {delta} >= 1/2; half weights would exceed 1")
-    hood = tuple(_bits(g.adj[v]))
-    rest = tuple(u for u in range(n) if not g.adj[v] >> u & 1)
     mu0 = _weights(n, [(rest, 1 / (2 * (1 - delta)))])
     mu1 = _weights(n, [(hood, Fraction(1)), (rest, (Fraction(1, 2) - delta) / (1 - delta))])
     beta0 = beta_of_half(g, mu0)
@@ -166,11 +181,7 @@ def maxdeg_combination_residual(g: Graph) -> Fraction:
     (1-2D)*rhs0 + rhs1 - (1-2D)/(2(1-D)) * rho where rhs_i is the closed form
     of 2*beta(G, mu_i); zero certifies the lemma-producing combination.
     """
-    n = g.n
-    v = min(range(n), key=lambda u: (-g.degree(u), u))
-    delta = Fraction(g.degree(v), n)
-    hood = tuple(_bits(g.adj[v]))
-    rest = tuple(u for u in range(n) if not g.adj[v] >> u & 1)
+    _, delta, hood, rest = _max_degree_split(g)
     dens = partition_densities(g, {"a": hood, "b": rest})
     rho_ab, rho_b = dens.cross[("a", "b")], dens.within["b"]
     q = (Fraction(1, 2) - delta) / (1 - delta)
@@ -199,13 +210,11 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
         raise ValueError("construction requires a triangle-free graph")
     if g.edge_count() == 0:
         raise ValueError("graph has no edges")
-    delta_abs = g.max_degree()
-    delta = Fraction(delta_abs, n)
+    v1, delta, _, _ = _max_degree_split(g)
     if delta > Fraction(1, 4):
         raise ValueError(
             f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case"
         )
-    v1 = min(u for u in range(n) if g.degree(u) == delta_abs)
     v2 = min(
         (u for u in _bits(g.adj[v1])),
         key=lambda u: (-g.degree(u), u),
@@ -265,7 +274,7 @@ def clebsch_recipe_half(ng: NamedGraph, edge: tuple[int, int] | None = None) -> 
     mask = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
     if mask.bit_count() != g.n // 2:
         raise RecipeSearchError(f"neighborhood union has {mask.bit_count()} vertices, wanted 8")
-    induced = sum((g.adj[w] & mask).bit_count() for w in _bits(mask)) // 2
+    induced = _induced_edges(g.adj, mask)
     cert = certificate(g, "clebsch-recipe", Half.from_mask(g.n, mask),
                        {"edge": (u, v), "induced_edges": induced})
     require(cert.bound == Fraction(induced, g.n**2),
@@ -281,34 +290,26 @@ def gewirtz_recipe_half(ng: NamedGraph) -> BoundCertificate:
     edge count appears.
     """
     g = _expect_named(ng, "gewirtz")
-    edges = g.edges()
     target_edges = 51
     best = None
-    for i, (a, b) in enumerate(edges):
-        span_ab = g.adj[a] | g.adj[b]
-        for c, d in edges[i + 1 :]:
-            if c in (a, b) or d in (a, b):
-                continue
-            if span_ab >> c & 1 or span_ab >> d & 1:
-                continue
-            mask = (span_ab | g.adj[c] | g.adj[d]) & ~((1 << a) | (1 << b) | (1 << c) | (1 << d))
-            size = mask.bit_count()
-            if size != g.n // 2:
-                raise RecipeSearchError(
-                    f"union of neighborhoods has {size} vertices, wanted {g.n // 2}"
-                )
-            induced = sum((g.adj[w] & mask).bit_count() for w in _bits(mask)) // 2
-            if best is None or abs(induced - target_edges) < abs(best[0] - target_edges):
-                best = (induced, (a, b, c, d))
-            if induced == target_edges:
-                cert = certificate(g, "gewirtz-recipe", Half.from_mask(g.n, mask),
-                                   {"roots": (a, b, c, d), "induced_edges": induced})
-                require(cert.bound == Fraction(induced, g.n**2),
-                        f"gewirtz recipe: bound {cert.bound} != {induced}/{g.n**2}")
-                return cert
-    raise RecipeSearchError(
-        f"no induced 2-matching spans {target_edges} edges", best_found=best
-    )
+    for roots in _induced_2matchings(g):
+        a, b, c, d = roots
+        mask = (g.adj[a] | g.adj[b] | g.adj[c] | g.adj[d]) & ~_mask_of(roots)
+        size = mask.bit_count()
+        if size != g.n // 2:
+            raise RecipeSearchError(
+                f"union of neighborhoods has {size} vertices, wanted {g.n // 2}"
+            )
+        induced = _induced_edges(g.adj, mask)
+        if best is None or abs(induced - target_edges) < abs(best[0] - target_edges):
+            best = (induced, roots)
+        if induced == target_edges:
+            cert = certificate(g, "gewirtz-recipe", Half.from_mask(g.n, mask),
+                               {"roots": roots, "induced_edges": induced})
+            require(cert.bound == Fraction(induced, g.n**2),
+                    f"gewirtz recipe: bound {cert.bound} != {induced}/{g.n**2}")
+            return cert
+    raise _search_failed(f"no induced 2-matching spans {target_edges} edges", best)
 
 
 def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
@@ -329,7 +330,7 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
             size = mask.bit_count()
             if size != 38:
                 raise RecipeSearchError(f"|A| = {size}, expected 38")
-            induced = sum((g.adj[w] & mask).bit_count() for w in _bits(mask)) // 2
+            induced = _induced_edges(g.adj, mask)
             if best is None or abs(induced - 109) < abs(best[0] - 109):
                 best = (induced, (u1, u2, u3))
             if induced != 109:
@@ -347,6 +348,4 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
                             f"m22 recipe: bound {cert.bound} != "
                             f"{2 * induced + 9}/{2 * g.n**2}")
                     return cert
-    raise RecipeSearchError(
-        "no root triple reached |E(A)| = 109 with a 9-neighbor pivot", best_found=best
-    )
+    raise _search_failed("no root triple reached |E(A)| = 109 with a 9-neighbor pivot", best)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphcore import Graph, _bits, independence_number
+from .graphcore import Graph, _bits, _induced_edges, _mask_of
 
 
 def rho(g: Graph) -> Fraction:
@@ -82,9 +82,7 @@ def partition_densities(g: Graph, parts: dict[str, set | list | tuple]) -> Parti
     masks: dict[str, int] = {}
     seen = 0
     for name, verts in parts.items():
-        mask = 0
-        for v in verts:
-            mask |= 1 << v
+        mask = _mask_of(verts)
         if mask & seen:
             raise ValueError(f"part {name!r} overlaps an earlier part")
         if mask >> g.n:
@@ -93,10 +91,7 @@ def partition_densities(g: Graph, parts: dict[str, set | list | tuple]) -> Parti
         masks[name] = mask
     nsq = g.n * g.n
     p = {name: Fraction(mask.bit_count(), g.n) for name, mask in masks.items()}
-    within = {}
-    for name, mask in masks.items():
-        inner = sum((g.adj[v] & mask).bit_count() for v in _bits(mask)) // 2
-        within[name] = Fraction(inner, nsq)
+    within = {name: Fraction(_induced_edges(g.adj, mask), nsq) for name, mask in masks.items()}
     cross = {}
     names = sorted(masks)
     for i, a in enumerate(names):
@@ -104,28 +99,3 @@ def partition_densities(g: Graph, parts: dict[str, set | list | tuple]) -> Parti
             between = sum((g.adj[v] & masks[b]).bit_count() for v in _bits(masks[a]))
             cross[(a, b)] = Fraction(2 * between, nsq)
     return PartitionDensities(p=p, within=within, cross=cross)
-
-
-def e_rel(g: Graph, v: int, subset=None) -> Fraction:
-    """Relative degree |N(v) cap X|/n, or |N(v)|/n when X is omitted."""
-    if subset is None:
-        return Fraction(g.degree(v), g.n)
-    mask = 0
-    for u in subset:
-        mask |= 1 << u
-    if mask >> v & 1:
-        raise ValueError(f"vertex {v} lies in the reference set")
-    return Fraction((g.adj[v] & mask).bit_count(), g.n)
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    rho: Fraction
-    c4: Fraction
-    delta: Fraction
-    alpha: Fraction | None = None
-
-
-def density_report(g: Graph, with_alpha: bool = False) -> DensityReport:
-    alpha = Fraction(independence_number(g)[0], g.n) if with_alpha else None
-    return DensityReport(rho=rho(g), c4=c4_density(g), delta=max_degree_rel(g), alpha=alpha)

@@ -360,16 +360,6 @@ class Polynomial:
             return NotImplemented
         return (self - o).is_zero()
 
-    def __hash__(self):
-        variables, terms, _ = self._aligned(self, Polynomial.const(0))
-        used = [i for i in range(len(variables)) if any(e[i] for e in terms)]
-        key = frozenset(
-            (tuple(variables[i] for i in used), tuple(e[i] for i in used), c)
-            for e, c in terms.items()
-            for _ in (0,)
-        )
-        return hash(key)
-
     # -- calculus / evaluation ---------------------------------------------
     def derive(self, var: str) -> "Polynomial":
         if var not in self.variables:

@@ -85,9 +85,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
 
@@ -120,6 +117,32 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _mask_of(vertices) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _induced_edges(adj, mask: int) -> int:
+    """Number of edges with both ends in `mask`."""
+    return sum((adj[v] & mask).bit_count() for v in _bits(mask)) // 2
+
+
+def _induced_2matchings(g: Graph):
+    """Every (a, b, c, d) with edges ab before cd in g.edges() and no other edge among them.
+
+    ab and cd share no vertex: a lies in N(b) and b in N(a), so the span test
+    already rejects c or d in {a, b}.
+    """
+    edges = g.edges()
+    for i, (a, b) in enumerate(edges):
+        span_ab = g.adj[a] | g.adj[b]
+        for c, d in edges[i + 1 :]:
+            if not (span_ab >> c & 1 or span_ab >> d & 1):
+                yield a, b, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +214,7 @@ def girth(g: Graph):
 
 def has_induced_2matching(g: Graph) -> bool:
     """Two edges on four distinct vertices spanning no other edge."""
-    edges = g.edges()
-    for i, (a, b) in enumerate(edges):
-        span_ab = g.adj[a] | g.adj[b]
-        for c, d in edges[i + 1 :]:
-            if c in (a, b) or d in (a, b):
-                continue
-            if span_ab >> c & 1 or span_ab >> d & 1:
-                continue
-            return True
-    return False
+    return next(_induced_2matchings(g), None) is not None
 
 
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:

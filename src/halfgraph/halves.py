@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphcore import Graph, ResourceLimitError, _bits
+from .graphcore import Graph, ResourceLimitError, _bits, _induced_edges, _mask_of
 
 
 EXACT_MAX_N = 36  # beta_exact refuses larger graphs instead of searching
@@ -107,15 +107,9 @@ def certificate(g: Graph, method: str, half: Half, params: dict | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _subset_edges(adj, mask) -> int:
-    total = 0
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        total += (adj[v] & mask).bit_count()
-    return total // 2
+def _odd_cost(adj, n: int, mask: int) -> int:
+    """Doubled cost of the best half-weight vertex: min |N(v) & mask| over v outside mask."""
+    return min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
 
 
 def _beta_branch_bound(g: Graph, max_nodes: int):
@@ -141,12 +135,10 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
         last_seen[adj[v]] = 1 << v
 
     # incumbent: the half made of the lowest-degree vertices
-    mask = 0
-    for v in sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size]:
-        mask |= 1 << v
-    best_doubled = 2 * _subset_edges(adj, mask)
+    mask = _mask_of(sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size])
+    best_doubled = 2 * _induced_edges(adj, mask)
     if odd:
-        best_doubled += min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
+        best_doubled += _odd_cost(adj, n, mask)
     best_mask = mask
 
     nodes = 0
@@ -168,9 +160,7 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
         if size == half_size:
             doubled = 2 * edges
             if odd:
-                doubled += min(
-                    (adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1
-                )
+                doubled += _odd_cost(adj, n, mask)
             if doubled < best_doubled:
                 best_doubled, best_mask = doubled, mask
             return
@@ -185,12 +175,9 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
 
     walk(0, 0, 0, 0)
     half_vertex = None
-    if odd:
-        target = best_doubled - 2 * _subset_edges(adj, best_mask)
-        half_vertex = min(
-            v for v in range(n)
-            if not best_mask >> v & 1 and (adj[v] & best_mask).bit_count() == target
-        )
+    if odd:  # the lowest-index vertex of least cost
+        half_vertex = min((v for v in range(n) if not best_mask >> v & 1),
+                          key=lambda v: (adj[v] & best_mask).bit_count())
     return Fraction(best_doubled, 2 * n * n), Half.from_mask(n, best_mask, half_vertex)
 
 
@@ -289,10 +276,7 @@ def local_search_half(g: Graph, seed: int = 1, restarts: int = 20) -> BoundCerti
     best = None
     for r in range(restarts):
         rng = random.Random(f"{seed}:{r}")
-        start_vertices = rng.sample(range(g.n), half_size)
-        mask = 0
-        for v in start_vertices:
-            mask |= 1 << v
+        mask = _mask_of(rng.sample(range(g.n), half_size))
         edges, final_mask = _steepest_descent(g.adj, g.n, mask)
         if best is None or edges < best[0]:
             best = (edges, final_mask, r)

@@ -13,19 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import Polynomial, RationalFunc
-from .graphcore import Graph, _bits
+from .graphcore import Graph, _bits, _induced_edges, _mask_of
 from .halves import BoundCertificate, Half, beta_of_half, certificate, require
 
 
 class DataInconsistencyError(Exception):
     """A step that the independence hypothesis guarantees failed anyway."""
-
-
-def _mask_of(vertices) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -
         mask |= 1 << accepted
         history.append(accepted)
         size += 1
-    inner = sum((g.adj[v] & mask).bit_count() for v in _bits(mask)) // 2
+    inner = _induced_edges(g.adj, mask)
     return GreedyState(
         grown_mask=mask,
         history=tuple(history),
@@ -93,9 +86,7 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
     }
 
     if a_mask.bit_count() >= n // 2:
-        half_mask = 0
-        for v in list(_bits(a_mask))[: n // 2]:
-            half_mask |= 1 << v
+        half_mask = _mask_of(list(_bits(a_mask))[: n // 2])
         return certificate(g, "independence", Half.from_mask(n, half_mask),
                            {**base_params, "case": "inside-independent-set"})
 

@@ -1,10 +1,13 @@
 """Tests for the half constructions and their exact certificates."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from halfgraph.constructions import (
+    RecipeSearchError,
     clebsch_recipe_half,
     edge_combined_bound,
     edge_halves,
@@ -19,6 +22,8 @@ from halfgraph.constructions import (
 from halfgraph.density import c4_density, partition_densities, rho
 from halfgraph.graphcore import (
     Graph,
+    NamedGraph,
+    clebsch,
     cycle,
     empty,
     enumerate_triangle_free,
@@ -225,3 +230,28 @@ def test_m22_recipe():
     assert cert.params["induced_edges"] == 109
     assert cert.bound == Fraction(227, 11858)  # (109 + 9/2)/77^2
     assert cert.bound < Fraction(192, 10000)
+
+
+def test_recipe_certificates_are_pinned():
+    certs = [
+        clebsch_recipe_half(named("clebsch")),
+        gewirtz_recipe_half(named("gewirtz")),
+        m22_recipe_half(named("m22")),
+    ]
+    assert certs[0].params == {"edge": (0, 1), "induced_edges": 4}
+    assert certs[1].params == {"roots": (0, 29, 1, 32), "induced_edges": 51}
+    assert certs[2].params == {
+        "roots": (0, 61, 1), "pivot": 6, "set_size": 38, "induced_edges": 109,
+    }
+    blob = json.dumps([c.to_dict() for c in certs], sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest().startswith("f51fff8528dea302")
+
+
+def test_failed_recipe_search_names_the_closest_candidate():
+    # Clebsch is (16, 5, 0, 2) like Gewirtz (56, 10, 0, 2): every union has n/2
+    # vertices, and none spans 51 edges
+    with pytest.raises(RecipeSearchError,
+                       match=r"spans 51 edges; closest 4 edges at roots \(0, 1, 6, 7\)$"):
+        gewirtz_recipe_half(NamedGraph("gewirtz", clebsch()))
+    with pytest.raises(RecipeSearchError, match="9-neighbor pivot; no candidate$"):
+        m22_recipe_half(NamedGraph("m22", empty(2)))

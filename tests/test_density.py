@@ -13,8 +13,6 @@ from halfgraph.density import (
     c4_lower_general,
     c4_lower_no_2matching,
     c4_lower_trivial,
-    density_report,
-    e_rel,
     max_degree_rel,
     partition_densities,
     rho,
@@ -148,22 +146,6 @@ def test_partition_sum_rule_random():
         assert total == rho(g)
 
 
-def test_e_rel():
-    p = named("petersen").graph
-    assert e_rel(p, 0) == Fraction(3, 10)
-    assert e_rel(p, 0, set(range(1, 10))) == Fraction(3, 10)
-    c5 = cycle(5)
-    assert e_rel(c5, 0, {2, 3}) == 0
-    assert e_rel(c5, 0, set()) == 0
-    with pytest.raises(ValueError):
-        e_rel(c5, 0, {0, 2})
-
-
-def test_density_report():
-    rep = density_report(cycle(5), with_alpha=True)
-    assert rep.rho == Fraction(2, 5)
-    assert rep.c4 == Fraction(18, 125)
-    assert rep.delta == Fraction(2, 5)
-    assert rep.alpha == Fraction(2, 5)
-    assert 0 <= rep.rho <= 1 and 0 <= rep.c4 <= 1
+def test_max_degree_rel():
     assert max_degree_rel(cycle(5)) == Fraction(2, 5)
+    assert max_degree_rel(named("petersen").graph) == Fraction(3, 10)

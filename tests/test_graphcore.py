@@ -330,6 +330,59 @@ def test_graph_from_key_round_trips(g):
     assert canonical_key(decoded) == key
 
 
+# ---------------------------------------------------------------------------
+# Shared bitset primitives against their oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def padded_graphs(draw):
+    """graphs() on at most 7 vertices followed by 0-3 isolated vertices: n <= 10."""
+    g = draw(graphs(max_n=7))
+    pad = draw(st.integers(0, 3))
+    return Graph(g.n + pad, g.adj + (0,) * pad)
+
+
+def _oracle_induced_2matchings(g):
+    """The nested edge loop the generator replaced, with its explicit shared-vertex test."""
+    edges = g.edges()
+    for i, (a, b) in enumerate(edges):
+        span_ab = g.adj[a] | g.adj[b]
+        for c, d in edges[i + 1 :]:
+            if c in (a, b) or d in (a, b):
+                continue
+            if span_ab >> c & 1 or span_ab >> d & 1:
+                continue
+            yield a, b, c, d
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_induced_edges_match_the_subgraph(data):
+    g = data.draw(padded_graphs())
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    expected = g.subgraph(graphcore._bits(mask)).edge_count() if mask else 0
+    assert graphcore._induced_edges(g.adj, mask) == expected
+    assert graphcore._mask_of(graphcore._bits(mask)) == mask
+
+
+@settings(deadline=None)
+@given(padded_graphs())
+def test_has_induced_2matching_matches_the_4_subset_scan(g):
+    # four vertices induce a 2-matching iff their subgraph is 1-regular
+    expected = any(
+        all(d == 1 for d in map(sub.degree, range(4)))
+        for sub in (g.subgraph(quad) for quad in combinations(range(g.n), 4))
+    )
+    assert has_induced_2matching(g) == expected
+
+
+@settings(deadline=None)
+@given(padded_graphs())
+def test_induced_2matchings_match_the_nested_loop(g):
+    assert list(graphcore._induced_2matchings(g)) == list(_oracle_induced_2matchings(g))
+
+
 def test_enumerated_graphs_pass_full_validation():
     for n in range(1, 9):
         for g in enumerate_triangle_free(n):

@@ -18,6 +18,7 @@ import halfgraph
 from halfgraph.graphcore import (
     Graph,
     _bits,
+    _induced_edges as _subset_edges,
     blowup,
     cycle,
     empty,
@@ -32,7 +33,6 @@ from halfgraph.halves import (
     ResourceLimitError,
     _beta_branch_bound,
     _steepest_descent,
-    _subset_edges,
     beta_exact,
     beta_of_half,
     certificate,
