@@ -119,8 +119,7 @@ def cmd_beta(args) -> int:
     print(f"bound = {cert.bound}")
     if "analytic_bound" in cert.params:
         print(f"analytic = {cert.params['analytic_bound']}")
-    if cert.half is not None:
-        print(f"half = {_format_half(cert.half)}")
+    print(f"half = {_format_half(cert.half)}")
     return 0
 
 

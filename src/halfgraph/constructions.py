@@ -26,7 +26,7 @@ from .graphcore import (
     _mask_of,
     is_triangle_free,
 )
-from .halves import BoundCertificate, Half, beta_of_half, certificate, require
+from .halves import BoundCertificate, Half, _weights, beta_of_half, certificate, require
 
 
 class RecipeSearchError(Exception):
@@ -86,14 +86,6 @@ def edge_split(g: Graph, edge: tuple[int, int]) -> EdgeSplit:
         p1=p1,
         p2=1 - p1,
     )
-
-
-def _weights(n: int, assignments: list[tuple[tuple[int, ...], Fraction]]) -> Half:
-    w = [Fraction(0)] * n
-    for verts, value in assignments:
-        for v in verts:
-            w[v] = value
-    return Half(tuple(w))
 
 
 def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, BoundCertificate]:

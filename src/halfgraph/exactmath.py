@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
+from math import comb, floor, isqrt, lcm
 
 
 class ExactDivisionError(ArithmeticError):
@@ -28,13 +28,66 @@ class ExactDivisionError(ArithmeticError):
 
 
 # ---------------------------------------------------------------------------
+# The operators every exact type derives from its own few
+# ---------------------------------------------------------------------------
+
+
+class _Exact:
+    """Derived operators for QuadNum, Polynomial and RationalFunc.
+
+    A subclass supplies `_wrap` (its operand coerced, or None for a foreign
+    type such as float), `__add__`, `__neg__`, `__mul__` and `__truediv__`;
+    the reflected operators, subtraction and integer powers follow from them.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # + and * commute in all three types; binding the reflected forms on
+        # each class makes `2 * p` cost the same single call as `p * 2`.
+        cls.__radd__ = cls.__add__
+        cls.__rmul__ = cls.__mul__
+
+    def __sub__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __rtruediv__(self, other):
+        o = self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def __pow__(self, exp: int):
+        if not isinstance(exp, int) or exp < 0:
+            return NotImplemented
+        out = self._wrap(1)
+        base = self
+        while exp:
+            if exp & 1:
+                out = out * base
+            base = base * base
+            exp >>= 1
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Q(sqrt(161))
 # ---------------------------------------------------------------------------
 
 _SQ = 161  # square-free radicand; fixed for the whole package
 
 
-class QuadNum:
+class QuadNum(_Exact):
     """Element a + b*sqrt(161), with exact field arithmetic and exact sign."""
 
     __slots__ = ("a", "b")
@@ -43,49 +96,29 @@ class QuadNum:
         self.a = Fraction(a)
         self.b = Fraction(b)
 
-    # -- coercion ----------------------------------------------------------
     @staticmethod
-    def _coerce(value):
+    def _wrap(value):
         if isinstance(value, QuadNum):
             return value
         if isinstance(value, (int, Fraction)):
             return QuadNum(value)
         return None
 
-    # -- ring/field ops ----------------------------------------------------
+    # -- field ops ---------------------------------------------------------
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadNum(self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(o.a - self.a, o.b - self.b)
-
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return QuadNum(self.a * o.a + _SQ * self.b * o.b, self.a * o.b + self.b * o.a)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         return QuadNum(-self.a, -self.b)
-
-    def conjugate(self) -> "QuadNum":
-        return QuadNum(self.a, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 161*b^2 (product with the conjugate)."""
@@ -98,28 +131,10 @@ class QuadNum:
         return QuadNum(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            return NotImplemented
-        out = QuadNum(1)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     # -- exact order -------------------------------------------------------
     def sign(self) -> int:
@@ -138,16 +153,13 @@ class QuadNum:
         return sa if lhs > rhs else sb
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             return NotImplemented
         return self.a == o.a and self.b == o.b
 
-    def __hash__(self):
-        return hash((self.a, self.b)) if self.b else hash(self.a)
-
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
+        o = self._wrap(other)
         if o is None:
             raise TypeError(f"cannot compare QuadNum with {type(other).__name__}")
         return (self - o).sign()
@@ -165,23 +177,16 @@ class QuadNum:
         return self._cmp(other) >= 0
 
     def __floor__(self) -> int:
-        """Exact floor, via integer-sqrt brackets of increasing precision."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        scale = 10**6
-        while True:
-            root_lo = Fraction(isqrt(_SQ * scale * scale), scale)
-            root_hi = root_lo + Fraction(1, scale)
-            if self.b > 0:
-                lo, hi = self.a + self.b * root_lo, self.a + self.b * root_hi
-            else:
-                lo, hi = self.a + self.b * root_hi, self.a + self.b * root_lo
-            if lo.numerator // lo.denominator == hi.numerator // hi.denominator:
-                return lo.numerator // lo.denominator
-            scale *= 100
+        """Exact floor of (p + r*sqrt(161))/d over the common denominator d.
 
-    def __float__(self):
-        return float(self.a) + float(self.b) * _SQ**0.5
+        r*sqrt(161) is irrational unless r = 0, so its floor is
+        isqrt(161*r^2) for r >= 0 and -isqrt(161*r^2) - 1 for r < 0.
+        """
+        d = lcm(self.a.denominator, self.b.denominator)
+        p = self.a.numerator * (d // self.a.denominator)
+        r = self.b.numerator * (d // self.b.denominator)
+        root = isqrt(_SQ * r * r)
+        return (p + root) // d if r >= 0 else (p - root - 1) // d
 
     def __repr__(self):
         if self.b == 0:
@@ -200,21 +205,6 @@ RHO0 = QuadNum(Fraction(33, 116), Fraction(-1, 116))
 RHO0_STR = "(33-sqrt(161))/116"
 
 
-def rho0_min_poly() -> "Polynomial":
-    """Minimal polynomial of rho0 over Q, derived by rationalizing the root.
-
-    x = (33 - sqrt(161))/116  =>  (116x - 33)^2 = 161, reduced to lowest terms.
-    """
-    from math import gcd
-
-    x = Polynomial.var("x")
-    squared = (116 * x - 33) ** 2 - 161  # 13456x^2 - 7656x + 928
-    content = 0
-    for coeff in squared.terms.values():
-        content = gcd(content, coeff.numerator)
-    return Polynomial(squared.variables, {e: c / content for e, c in squared.terms.items()})
-
-
 # ---------------------------------------------------------------------------
 # Multivariate polynomials over Q
 # ---------------------------------------------------------------------------
@@ -225,7 +215,7 @@ def _order_key(exps):
     return (sum(exps), exps)
 
 
-class Polynomial:
+class Polynomial(_Exact):
     """Immutable multivariate polynomial with Fraction coefficients.
 
     Variables are kept as a name-sorted tuple so equal polynomials built in
@@ -298,22 +288,8 @@ class Polynomial:
             t1[exps] = t1.get(exps, Fraction(0)) + coeff
         return Polynomial(variables, t1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._wrap(other)
@@ -330,20 +306,6 @@ class Polynomial:
                 else:
                     out.pop(key, None)
         return Polynomial(variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int) or exp < 0:
-            return NotImplemented
-        out = Polynomial.const(1)
-        base = self
-        while exp:
-            if exp & 1:
-                out = out * base
-            base = base * base
-            exp >>= 1
-        return out
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -477,7 +439,7 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-class RationalFunc:
+class RationalFunc(_Exact):
     """Quotient of polynomials; equality by cross-multiplication."""
 
     __slots__ = ("num", "den")
@@ -502,30 +464,14 @@ class RationalFunc:
             return NotImplemented
         return RationalFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:
             return NotImplemented
         return RationalFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._wrap(other)
@@ -534,12 +480,6 @@ class RationalFunc:
         if o.num.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other):
         o = self._wrap(other)
@@ -558,7 +498,7 @@ class RationalFunc:
 
     def eval(self, point: dict):
         den = self.den.eval(point)
-        if (den.sign() if isinstance(den, QuadNum) else den) == 0:
+        if den == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
         return self.num.eval(point) / den
 
@@ -602,24 +542,17 @@ def sparse_margin_denominator() -> Polynomial:
     return 200 * (1 - delta - e2) * (1 - delta - e2 + 2 * delta * e2)
 
 
-def sparse_margin_poly(estimate: RationalFunc | None = None) -> Polynomial:
+@lru_cache(maxsize=None)
+def sparse_margin_poly() -> Polynomial:
     """The margin polynomial Q with 1/50 - f = Q / sparse_margin_denominator().
 
     Raises ExactDivisionError if the scaled margin fails to be a polynomial
-    (it must be, unless `estimate` was tampered with).  Q of the default
-    estimate is derived once per process.
+    (it must be, unless `sparse_estimate` was tampered with).  Q is derived
+    once per process; lru_cache stores no exception, so a failed division is
+    raised on every call.
     """
-    if estimate is None:
-        return _default_margin_poly()
-    one_fiftieth = RationalFunc(Polynomial.const(Fraction(1, 50)))
-    margin = (one_fiftieth - estimate) * sparse_margin_denominator()
+    margin = (Fraction(1, 50) - sparse_estimate()) * sparse_margin_denominator()
     return margin.as_polynomial()
-
-
-@lru_cache(maxsize=None)
-def _default_margin_poly() -> Polynomial:
-    # lru_cache stores no exception, so a failed division is raised on every call
-    return sparse_margin_poly(sparse_estimate())
 
 
 def edge_split_coeffs() -> dict:
@@ -644,15 +577,10 @@ def _rational_points(lo, hi, step: Fraction):
 
     `lo`/`hi` may be QuadNum; comparisons stay exact throughout.
     """
-    lo_q = lo if isinstance(lo, QuadNum) else QuadNum(lo)
-    hi_q = hi if isinstance(hi, QuadNum) else QuadNum(hi)
     points = [lo]
-    k = (lo_q / QuadNum(step)).__floor__() + 1
-    while True:
-        x = k * step
-        if QuadNum(x) >= hi_q:
-            break
-        points.append(x)
+    k = floor(lo / step) + 1
+    while k * step < hi:
+        points.append(k * step)
         k += 1
     points.append(hi)
     return points
@@ -660,12 +588,8 @@ def _rational_points(lo, hi, step: Fraction):
 
 def _e2_coefficients(q: Polynomial, rho_val, delta_val) -> list:
     """Coefficients [c0..cd] of q(rho_val, delta_val, e2) as a poly in e2."""
-    out = [QuadNum(0)] * (q.degree("e2") + 1)
-    for power in range(len(out)):
-        coeff_poly = q.coefficient("e2", power)
-        val = coeff_poly.eval({"rho": rho_val, "delta": delta_val})
-        out[power] = val if isinstance(val, QuadNum) else QuadNum(val)
-    return out
+    point = {"rho": rho_val, "delta": delta_val}
+    return [q.coefficient("e2", power).eval(point) for power in range(q.degree("e2") + 1)]
 
 
 def _taylor_shift(coeffs: list, x0) -> list:

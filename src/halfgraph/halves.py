@@ -52,6 +52,15 @@ class Half:
         return tuple(v for v, w in enumerate(self.weights) if w)
 
 
+def _weights(n: int, assignments) -> Half:
+    """The half with weight `value` on the vertices of each (vertices, value) pair, else 0."""
+    w = [Fraction(0)] * n
+    for verts, value in assignments:
+        for v in verts:
+            w[v] = value
+    return Half(tuple(w))
+
+
 def validate_half(g: Graph, mu: Half) -> None:
     if len(mu.weights) != g.n:
         raise HalfError(f"half has {len(mu.weights)} weights for {g.n} vertices")
@@ -77,20 +86,18 @@ def beta_of_half(g: Graph, mu: Half) -> Fraction:
 class BoundCertificate:
     """A proved upper bound on beta(G) plus the witness that certifies it.
 
-    When `half` is present, `bound` is beta(G, half) recomputed from scratch;
-    method-specific exact scalars (analytic bounds, split data) ride along in
-    `params`.
+    `bound` is beta(G, half) recomputed from scratch; method-specific exact
+    scalars (analytic bounds, split data) ride along in `params`.
     """
 
     method: str
     bound: Fraction
-    half: Half | None = None
+    half: Half
     params: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {"method": self.method, "bound": str(self.bound)}
-        if self.half is not None:
-            out["half"] = [str(w) for w in self.half.weights]
+        out = {"method": self.method, "bound": str(self.bound),
+               "half": [str(w) for w in self.half.weights]}
         if self.params:
             out["params"] = {k: str(v) for k, v in self.params.items()}
         return out

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits, _induced_edges, _mask_of
-from .halves import BoundCertificate, Half, beta_of_half, certificate, require
+from .halves import BoundCertificate, Half, _weights, certificate, require
 
 
 class DataInconsistencyError(Exception):
@@ -155,17 +155,12 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
         else:
             p = numer / p_f
         require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
-        weights = [Fraction(0)] * n
-        for v in _bits(b_mask | fan_mask):
-            weights[v] = Fraction(1)
-        for v in _bits(rest_mask):
-            weights[v] = p
-        mu = Half(tuple(weights))
-        value = beta_of_half(g, mu)
-        if best is None or value < best.bound:
-            best = certificate(g, "independence", mu,
-                               {**base_params, "case": "fractional-rest", "p_b": p_b,
-                                "pivot": v0, "p": p})
+        mu = _weights(n, [(_bits(b_mask | fan_mask), Fraction(1)), (_bits(rest_mask), p)])
+        cert = certificate(g, "independence", mu,
+                           {**base_params, "case": "fractional-rest", "p_b": p_b,
+                            "pivot": v0, "p": p})
+        if best is None or cert.bound < best.bound:
+            best = cert
     require(best is not None, "fractional case: the grown set is empty")
     return best
 

@@ -36,7 +36,7 @@ from .density import (
     max_degree_rel,
     rho,
 )
-from .exactmath import RHO0, RHO0_STR, ExactDivisionError, Polynomial, QuadNum, RationalFunc
+from .exactmath import RHO0, RHO0_STR, ExactDivisionError, Polynomial, RationalFunc
 from .girth5 import FIFTIETH, girth5_report
 from .graphcore import (
     Graph,
@@ -143,8 +143,7 @@ def _q_degrees(_seed):
 
 def _q_vanishes_at_rho0(_seed):
     val = exactmath.sparse_margin_poly().eval({"rho": RHO0, "delta": RHO0, "e2": RHO0})
-    val = val if isinstance(val, QuadNum) else QuadNum(val)
-    return str(val), "0", val.sign() == 0
+    return str(val), "0", val == 0
 
 
 def _alpha0_minus_gamma(_seed):
@@ -186,8 +185,7 @@ def _case2_boundary(step: Fraction, _seed):
         slope = dq_ddelta.eval({"rho": RHO0, "delta": ev, "e2": ev})
         for label, val in (("Q1(e2,e2)", on_diag), ("Q1(1/4,e2)", at_quarter),
                            ("dQ1/ddelta|d=e2", slope)):
-            val = val if isinstance(val, QuadNum) else QuadNum(val)
-            if val.sign() < 0:
+            if val < 0:
                 bad.append((ev, label, str(val)))
     return (f"{len(bad)} violations", ">= 0 on grid", not bad)
 

@@ -128,7 +128,7 @@ def test_verify_reports_a_crashing_check_as_an_error_row(tmp_path, capsys, monke
 
 
 def test_verify_sparse_reports_a_failed_division_as_rows(capsys, monkeypatch):
-    def no_division(estimate=None):
+    def no_division():
         raise ExactDivisionError("not divisible", remainder="rho")
 
     monkeypatch.setattr("halfgraph.exactmath.sparse_margin_poly", no_division)

@@ -1,10 +1,17 @@
 """Tests for the exact arithmetic kernel and the sparse identity suite."""
 
+import ast
+import math
+import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import halfgraph
 from halfgraph import exactmath
 from halfgraph.exactmath import (
     RHO0,
@@ -13,7 +20,6 @@ from halfgraph.exactmath import (
     QuadNum,
     RationalFunc,
     edge_split_coeffs,
-    rho0_min_poly,
     sparse_estimate,
     sparse_margin_denominator,
     sparse_margin_poly,
@@ -43,7 +49,7 @@ def test_quadnum_conjugate_product_is_norm():
     rng = random.Random(7)
     for _ in range(50):
         z = QuadNum(rand_fraction(rng), rand_fraction(rng))
-        prod = z * z.conjugate()
+        prod = z * QuadNum(z.a, -z.b)
         assert prod.b == 0
         assert prod.a == z.a**2 - 161 * z.b**2
 
@@ -74,17 +80,103 @@ def test_quadnum_sign_cases():
 def test_quadnum_order_and_floor():
     assert RHO0 > Fraction(17, 100)
     assert RHO0 < Fraction(18, 100)
-    assert (RHO0 * 100).__floor__() == 17
-    assert QuadNum(Fraction(7, 2)).__floor__() == 3
-    assert QuadNum(-1, -1).__floor__() == -14  # -1 - 12.68...
-    assert QuadNum(0, 1).__floor__() == 12
+    assert math.floor(RHO0 * 100) == 17
+    assert math.floor(QuadNum(Fraction(7, 2))) == 3
+    assert math.floor(QuadNum(-1, -1)) == -14  # -1 - 12.68...
+    assert math.floor(QuadNum(0, 1)) == 12
+
+
+_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_rationals, b=st.one_of(st.just(Fraction(0)), _rationals))
+def test_quadnum_floor_brackets_the_value(a, b):
+    z = QuadNum(a, b)
+    m = math.floor(z)
+    assert isinstance(m, int)
+    assert m <= z < m + 1
 
 
 def test_rho0_is_root_of_its_minimal_polynomial():
-    mp = rho0_min_poly()
+    # (116x - 33)^2 = 161, divided by 232
     x = Polynomial.var("x")
-    assert mp == 58 * x**2 - 33 * x + 4
-    assert mp.eval({"x": RHO0}) == QuadNum(0)
+    assert (58 * x**2 - 33 * x + 4).eval({"x": RHO0}) == QuadNum(0)
+
+
+# ---------------------------------------------------------------------------
+# The operators every exact type derives from its own few
+# ---------------------------------------------------------------------------
+
+
+def _derived_cases():
+    z = QuadNum(Fraction(2, 3), Fraction(-1, 5))
+    norm = z.a**2 - 161 * z.b**2
+    x, y = Polynomial.variables_named("x", "y")
+    r = RationalFunc(x + 1, x - y)
+    return [
+        pytest.param(Fraction(1, 7) - z, QuadNum(Fraction(1, 7) - z.a, -z.b),
+                     id="Fraction - QuadNum"),
+        pytest.param(2 / z, QuadNum(2 * z.a / norm, -2 * z.b / norm), id="2 / QuadNum"),
+        pytest.param(3 - (x + 2 * y), Polynomial(("x", "y"), {(0, 0): 3, (1, 0): -1, (0, 1): -2}),
+                     id="3 - Polynomial"),
+        pytest.param((x + 1) ** 3, Polynomial(("x",), {(3,): 1, (2,): 3, (1,): 3, (0,): 1}),
+                     id="Polynomial ** 3"),
+        pytest.param(Fraction(1, 50) - r, RationalFunc((x - y) / 50 - (x + 1), x - y),
+                     id="Fraction(1, 50) - RationalFunc"),
+        pytest.param(1 / r, RationalFunc(x - y, x + 1), id="1 / RationalFunc"),
+    ]
+
+
+@pytest.mark.parametrize("derived, expanded", _derived_cases())
+def test_derived_operator_matches_its_expansion(derived, expanded):
+    assert type(derived) is type(expanded)
+    assert derived == expanded
+
+
+@pytest.mark.parametrize("value", [
+    QuadNum(1, 1), Polynomial.var("x"), RationalFunc(Polynomial.var("x"), 2)
+], ids=["QuadNum", "Polynomial", "RationalFunc"])
+def test_float_operand_is_a_type_error(value):
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(value, 0.5)
+        with pytest.raises(TypeError):
+            op(0.5, value)
+    with pytest.raises(TypeError):
+        value ** 0.5
+
+
+# Decimal display columns, the only places a float may appear: (module, function).
+_FLOAT_DISPLAY = {("cli.py", "cmd_verify"), ("girth5.py", "girth5_csv")}
+
+
+def _float_uses(tree: ast.AST, module: str) -> list:
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            if node.name == "__float__":
+                found.append((module, function, "defines __float__"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((module, function, f"float literal {node.value!r}"))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "float" and (module, function) not in _FLOAT_DISPLAY):
+            found.append((module, function, "calls float()"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_no_float_outside_the_decimal_display_columns():
+    package = Path(halfgraph.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        found += _float_uses(ast.parse(path.read_text()), path.name)
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -207,27 +299,39 @@ def test_estimate_derivation_from_combination_coefficients():
     assert derived == packaged_e1
 
 
-def test_scaled_margin_division_has_zero_remainder():
+@pytest.fixture
+def use_estimate(monkeypatch):
+    """Derive Q from a given estimate; the memoized Q is dropped on entry and exit."""
+    def use(estimate):
+        monkeypatch.setattr(exactmath, "sparse_estimate", lambda: estimate)
+        sparse_margin_poly.cache_clear()
+
+    yield use
+    monkeypatch.undo()
+    sparse_margin_poly.cache_clear()
+
+
+def test_scaled_margin_division_has_zero_remainder(use_estimate):
     f = sparse_estimate()
-    q = sparse_margin_poly(f)
+    use_estimate(f)
+    q = sparse_margin_poly()
     margin = (RationalFunc(Polynomial.const(Fraction(1, 50))) - f) * sparse_margin_denominator()
     assert q * margin.den == margin.num
 
 
-def test_default_margin_poly_is_derived_once(monkeypatch):
+def test_default_margin_poly_is_derived_once(use_estimate):
     q = sparse_margin_poly()
     assert sparse_margin_poly() is q
-    assert q == sparse_margin_poly(sparse_estimate())
-    # a failed division is not memoized: it raises again on the next call
     f = sparse_estimate()
-    monkeypatch.setattr(exactmath, "sparse_estimate",
-                        lambda: RationalFunc(f.num, f.den + Polynomial.var("delta")))
-    exactmath._default_margin_poly.cache_clear()
+    use_estimate(f)
+    assert sparse_margin_poly() is not q
+    assert sparse_margin_poly() == q
+    # a failed division is not memoized: it raises again on the next call
+    use_estimate(RationalFunc(f.num, f.den + Polynomial.var("delta")))
     for _ in range(2):
         with pytest.raises(ExactDivisionError):
             sparse_margin_poly()
-    monkeypatch.undo()
-    exactmath._default_margin_poly.cache_clear()
+    use_estimate(f)
     assert sparse_margin_poly() == q
 
 
@@ -237,16 +341,16 @@ def test_verify_sparse_identities_all_pass():
     assert len(report.checks) == 7
 
 
-def test_perturbed_estimate_is_caught():
+def test_perturbed_estimate_is_caught(use_estimate):
     f = sparse_estimate()
     # a denominator perturbation kills the exact division outright
-    broken_den = RationalFunc(f.num, f.den + Polynomial.var("delta"))
+    use_estimate(RationalFunc(f.num, f.den + Polynomial.var("delta")))
     with pytest.raises(ExactDivisionError):
-        sparse_margin_poly(broken_den)
+        sparse_margin_poly()
     # a numerator perturbation still divides (the scale was built from the
     # same denominator) but the downstream identities flag it
-    broken_num = RationalFunc(f.num + Polynomial.var("rho") ** 2 * 50, f.den)
-    q_broken = sparse_margin_poly(broken_num)
+    use_estimate(RationalFunc(f.num + Polynomial.var("rho") ** 2 * 50, f.den))
+    q_broken = sparse_margin_poly()
     assert q_broken.degree("rho") != 1
     assert q_broken.eval({"rho": RHO0, "delta": RHO0, "e2": RHO0}) != QuadNum(0)
 
