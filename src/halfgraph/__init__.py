@@ -19,7 +19,7 @@ from .constructions import (
     maxdeg_halves,
     triple_half_bound,
 )
-from .density import c4_density, partition_densities, rho
+from .density import c4_density, cross_density, part_density, rho
 from .exactmath import RHO0, Polynomial, QuadNum, RationalFunc
 from .girth5 import beta_u, first_bound, gamma, girth5_master, girth5_report, n_window, ramsey3
 from .graphcore import (
@@ -44,7 +44,7 @@ from .halves import (
     beta_of_half,
     local_search_half,
 )
-from .independence import GreedyState, independence_half
+from .independence import independence_half
 from .srg import (
     SrgParams,
     regular_beta_bound,

@@ -110,8 +110,7 @@ def cmd_beta(args) -> int:
     elif method == "triple":
         cert = triple_half_bound(g)
     elif method == "independence":
-        size, witness = independence_number(g)
-        cert = independence_half(g, witness[: min(size, g.n // 2)])
+        cert = independence_half(g, independence_number(g)[1])
     elif method == "local-search":
         cert = local_search_half(g, seed=args.seed, restarts=args.retries)
     else:  # pragma: no cover - argparse restricts choices

@@ -5,9 +5,10 @@ recomputed from the weights, never the analytic shortcut; analytic values
 ride along in `params` and are checked against the recomputation by
 `require`, which raises CertificateError (also under python -O).
 
-Convention note: rho_x here always means |E(X)|/n^2 (within-part, no factor
-2) and rho_xy means 2|E(X,Y)|/n^2, so closed forms carry an explicit factor 2
-on within-part terms.
+Vertex sets are int bitmasks.  Convention note: rho_x here always means
+|E(X)|/n^2 (`part_density`, no factor 2) and rho_xy means 2|E(X,Y)|/n^2
+(`cross_density`), so closed forms carry an explicit factor 2 on within-part
+terms.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .density import c4_density, partition_densities, rho
+from .density import c4_density, cross_density, part_density, rho
 from .exactmath import sparse_estimate
 from .graphcore import (
     Graph,
@@ -46,13 +47,13 @@ def _search_failed(message: str, best) -> RecipeSearchError:
 
 @dataclass(frozen=True)
 class EdgeSplit:
-    """The three-part split induced by one edge: both neighborhoods and the rest."""
+    """The three-part split induced by one edge: both neighborhoods and the rest, as masks."""
 
     v1: int
     v2: int
-    a1: tuple[int, ...]
-    a2: tuple[int, ...]
-    b: tuple[int, ...]
+    a1: int
+    a2: int
+    b: int
     e1: Fraction
     e2: Fraction
     p1: Fraction
@@ -72,20 +73,10 @@ def edge_split(g: Graph, edge: tuple[int, int]) -> EdgeSplit:
         raise ValueError(f"degenerate split: e1 + e2 = {e1 + e2} >= 1")
     if e1 > Fraction(1, 2) or e2 > Fraction(1, 2):
         raise ValueError("relative degree above 1/2; split weights leave [0, 1]")
-    a1_mask, a2_mask = g.adj[v1], g.adj[v2]
-    b_mask = ((1 << n) - 1) & ~(a1_mask | a2_mask)
+    a1, a2 = g.adj[v1], g.adj[v2]
     p1 = (Fraction(1, 2) - e1) / (1 - e1 - e2)
-    return EdgeSplit(
-        v1=v1,
-        v2=v2,
-        a1=tuple(_bits(a1_mask)),
-        a2=tuple(_bits(a2_mask)),
-        b=tuple(_bits(b_mask)),
-        e1=e1,
-        e2=e2,
-        p1=p1,
-        p2=1 - p1,
-    )
+    return EdgeSplit(v1=v1, v2=v2, a1=a1, a2=a2, b=((1 << n) - 1) & ~(a1 | a2),
+                     e1=e1, e2=e2, p1=p1, p2=1 - p1)
 
 
 def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, BoundCertificate]:
@@ -96,18 +87,15 @@ def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, Boun
     which is checked against the recomputed bound.
     """
     split = edge_split(g, edge)
-    dens = partition_densities(g, {"a1": split.a1, "a2": split.a2, "b": split.b})
+    rho_b = part_density(g, split.b)
     certs = []
-    for tag, own, other, p in (
-        ("a1", split.a1, split.a2, split.p1),
-        ("a2", split.a2, split.a1, split.p2),
-    ):
+    for tag, own, p in (("a1", split.a1, split.p1), ("a2", split.a2, split.p2)):
         mu = _weights(g.n, [(own, Fraction(1)), (split.b, p)])
         cert = certificate(g, "edge", mu, {
             "v1": split.v1, "v2": split.v2, "side": tag,
             "e1": split.e1, "e2": split.e2, "p": p,
         })
-        closed_form = p * dens.cross[tuple(sorted((tag, "b")))] / 2 + p**2 * dens.within["b"]
+        closed_form = p * cross_density(g, own, split.b) / 2 + p**2 * rho_b
         require(cert.bound == closed_form,
                 f"edge half {tag}: bound {cert.bound} != closed form {closed_form}")
         certs.append(cert)
@@ -117,8 +105,7 @@ def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, Boun
 def edge_combined_bound(g: Graph, edge: tuple[int, int]) -> Fraction:
     """The averaged split bound p1*p2*(rho - rho_{a1a2})/2 for one edge."""
     split = edge_split(g, edge)
-    dens = partition_densities(g, {"a1": split.a1, "a2": split.a2, "b": split.b})
-    return split.p1 * split.p2 * (rho(g) - dens.cross[("a1", "a2")]) / 2
+    return split.p1 * split.p2 * (rho(g) - cross_density(g, split.a1, split.a2)) / 2
 
 
 def krivelevich_bound(g: Graph) -> Fraction:
@@ -135,11 +122,10 @@ def krivelevich_bound(g: Graph) -> Fraction:
 
 
 def _max_degree_split(g: Graph):
-    """(v, Delta, N(v), V - N(v)) for the lowest-index vertex v of maximum degree."""
+    """(v, Delta, N(v), V - N(v)) as masks, for the lowest-index vertex v of maximum degree."""
     v = min(range(g.n), key=lambda u: (-g.degree(u), u))
-    hood = tuple(_bits(g.adj[v]))
-    rest = tuple(u for u in range(g.n) if not g.adj[v] >> u & 1)
-    return v, Fraction(len(hood), g.n), hood, rest
+    hood = g.adj[v]
+    return v, Fraction(hood.bit_count(), g.n), hood, ((1 << g.n) - 1) & ~hood
 
 
 def maxdeg_halves(g: Graph) -> BoundCertificate:
@@ -174,8 +160,7 @@ def maxdeg_combination_residual(g: Graph) -> Fraction:
     of 2*beta(G, mu_i); zero certifies the lemma-producing combination.
     """
     _, delta, hood, rest = _max_degree_split(g)
-    dens = partition_densities(g, {"a": hood, "b": rest})
-    rho_ab, rho_b = dens.cross[("a", "b")], dens.within["b"]
+    rho_ab, rho_b = cross_density(g, hood, rest), part_density(g, rest)
     q = (Fraction(1, 2) - delta) / (1 - delta)
     rhs0 = rho_b / (2 * (1 - delta) ** 2)
     rhs1 = q * rho_ab + 2 * q**2 * rho_b
@@ -207,16 +192,12 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
         raise ValueError(
             f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case"
         )
-    v2 = min(
-        (u for u in _bits(g.adj[v1])),
-        key=lambda u: (-g.degree(u), u),
-    )
+    v2 = min(_bits(g.adj[v1]), key=lambda u: (-g.degree(u), u))
     split = edge_split(g, (v1, v2))
-    dens = partition_densities(g, {"a1": split.a1, "a2": split.a2, "b": split.b})
-    rho_a1a2 = dens.cross[("a1", "a2")]
-    rho_a1b = dens.cross[("a1", "b")]
-    rho_a2b = dens.cross[("a2", "b")]
-    rho_b = dens.within["b"]
+    rho_a1a2 = cross_density(g, split.a1, split.a2)
+    rho_a1b = cross_density(g, split.a1, split.b)
+    rho_a2b = cross_density(g, split.a2, split.b)
+    rho_b = part_density(g, split.b)
 
     p0 = (Fraction(1, 2) - split.e1 - split.e2) / (1 - split.e1 - split.e2)
     mu0 = _weights(n, [(split.a1, Fraction(1)), (split.a2, Fraction(1)), (split.b, p0)])

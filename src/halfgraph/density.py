@@ -1,4 +1,4 @@
-"""Flag-style densities: rho, the 4-cycle density, partition densities.
+"""Flag-style densities: rho, the 4-cycle density, part and cross densities.
 
 Densities follow blow-up semantics: vertices are sampled independently with
 repetition, so degenerate tuples (repeated vertices realizing paths or single
@@ -7,10 +7,9 @@ edges) contribute to the 4-cycle density.  All values are exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphcore import Graph, _bits, _induced_edges, _mask_of
+from .graphcore import Graph, _bits, _induced_edges
 
 
 def rho(g: Graph) -> Fraction:
@@ -62,40 +61,22 @@ def c4_lower_no_2matching(edge_density: Fraction) -> Fraction:
     return Fraction(3, 2) * edge_density**2 - Fraction(6, 25) * edge_density
 
 
-@dataclass(frozen=True)
-class PartitionDensities:
-    """Exact densities of a family of disjoint vertex sets.
+def part_density(g: Graph, x: int) -> Fraction:
+    """|E(X)|/n^2 for the vertex mask x (no factor 2, unlike rho)."""
+    if x >> g.n:
+        raise ValueError("mask references vertices >= n")
+    return Fraction(_induced_edges(g.adj, x), g.n * g.n)
 
-    `p` holds |X|/n, `within` holds |E(X)|/n^2 (no factor 2), and `cross`
-    holds 2|E(X,Y)|/n^2 keyed by the sorted name pair; the asymmetric
-    normalization is deliberate and matches the sum rule
-    2*sum(within) + sum(cross) + (terms outside the parts) = rho.
+
+def cross_density(g: Graph, x: int, y: int) -> Fraction:
+    """2|E(X,Y)|/n^2 for disjoint vertex masks x and y.
+
+    With this normalization, 2*sum part_density + sum cross_density over a
+    partition of V equals rho.
     """
-
-    p: dict[str, Fraction]
-    within: dict[str, Fraction]
-    cross: dict[tuple[str, str], Fraction]
-
-
-def partition_densities(g: Graph, parts: dict[str, set | list | tuple]) -> PartitionDensities:
-    """Compute p_x, rho_x and rho_xy for pairwise disjoint vertex sets."""
-    masks: dict[str, int] = {}
-    seen = 0
-    for name, verts in parts.items():
-        mask = _mask_of(verts)
-        if mask & seen:
-            raise ValueError(f"part {name!r} overlaps an earlier part")
-        if mask >> g.n:
-            raise ValueError(f"part {name!r} references vertices >= n")
-        seen |= mask
-        masks[name] = mask
-    nsq = g.n * g.n
-    p = {name: Fraction(mask.bit_count(), g.n) for name, mask in masks.items()}
-    within = {name: Fraction(_induced_edges(g.adj, mask), nsq) for name, mask in masks.items()}
-    cross = {}
-    names = sorted(masks)
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            between = sum((g.adj[v] & masks[b]).bit_count() for v in _bits(masks[a]))
-            cross[(a, b)] = Fraction(2 * between, nsq)
-    return PartitionDensities(p=p, within=within, cross=cross)
+    if x & y:
+        raise ValueError("the two vertex sets overlap")
+    if (x | y) >> g.n:
+        raise ValueError("mask references vertices >= n")
+    between = sum((g.adj[v] & y).bit_count() for v in _bits(x))
+    return Fraction(2 * between, g.n * g.n)

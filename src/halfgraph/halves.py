@@ -53,10 +53,10 @@ class Half:
 
 
 def _weights(n: int, assignments) -> Half:
-    """The half with weight `value` on the vertices of each (vertices, value) pair, else 0."""
+    """The half with weight `value` on the vertices of each (mask, value) pair, else 0."""
     w = [Fraction(0)] * n
-    for verts, value in assignments:
-        for v in verts:
+    for mask, value in assignments:
+        for v in _bits(mask):
             w[v] = value
     return Half(tuple(w))
 

@@ -9,66 +9,39 @@ constructions produces a half whose exact value is at most
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .density import part_density
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits, _induced_edges, _mask_of
 from .halves import BoundCertificate, Half, _weights, certificate, require
 
 
-class DataInconsistencyError(Exception):
-    """A step that the independence hypothesis guarantees failed anyway."""
-
-
-@dataclass(frozen=True)
-class GreedyState:
-    """Outcome of the absorption pass: the grown set and its exact densities."""
-
-    grown_mask: int
-    history: tuple[int, ...]
-    p_grown: Fraction
-    rho_grown: Fraction
-
-
-def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -> GreedyState:
+def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -> int:
     """Greedily absorb vertices with at most `spill_cap` neighbors in the set.
 
     Candidates are scanned in index order and the first qualifying vertex is
     accepted, until the set reaches `target` vertices or no vertex qualifies.
+    Returns the grown mask.
     """
     mask = start_mask
-    history: list[int] = []
-    size = mask.bit_count()
-    while size < target:
-        accepted = None
-        for v in range(g.n):
-            if mask >> v & 1:
-                continue
-            if (g.adj[v] & mask).bit_count() <= spill_cap:
-                accepted = v
-                break
+    while mask.bit_count() < target:
+        accepted = next((v for v in range(g.n) if not mask >> v & 1
+                         and (g.adj[v] & mask).bit_count() <= spill_cap), None)
         if accepted is None:
             break
         mask |= 1 << accepted
-        history.append(accepted)
-        size += 1
-    inner = _induced_edges(g.adj, mask)
-    return GreedyState(
-        grown_mask=mask,
-        history=tuple(history),
-        p_grown=Fraction(size, g.n),
-        rho_grown=Fraction(inner, g.n * g.n),
-    )
+    return mask
 
 
 def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCertificate:
     """Build a half from an independent set of density alpha, with exact value.
 
-    The certificate's bound is the recomputed beta of the returned half; the
-    analytic guarantee (alpha/2)(1/2 - alpha) rides in params, along with an
-    `outside_hypothesis` flag when alpha < 3/8 (the construction still runs,
-    the guarantee just is not asserted).
+    A set larger than n/2 is cut to its n/2 lowest vertices first, so alpha
+    is at most 1/2.  The certificate's bound is the recomputed beta of the
+    returned half; the analytic guarantee (alpha/2)(1/2 - alpha) rides in
+    params, along with an `outside_hypothesis` flag when alpha < 3/8 (the
+    construction still runs, the guarantee just is not asserted).
     """
     n = g.n
     if n % 2:
@@ -77,6 +50,7 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
     for v in _bits(a_mask):
         if g.adj[v] & a_mask:
             raise ValueError(f"vertex {v} has a neighbor inside the supposed independent set")
+    a_mask = _mask_of(list(_bits(a_mask))[: n // 2])
     alpha = Fraction(a_mask.bit_count(), n)
     analytic = alpha / 2 * (Fraction(1, 2) - alpha)
     base_params = {
@@ -85,17 +59,17 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
         "outside_hypothesis": alpha < Fraction(3, 8),
     }
 
-    if a_mask.bit_count() >= n // 2:
-        half_mask = _mask_of(list(_bits(a_mask))[: n // 2])
-        return certificate(g, "independence", Half.from_mask(n, half_mask),
+    if a_mask.bit_count() == n // 2:
+        return certificate(g, "independence", Half.from_mask(n, a_mask),
                            {**base_params, "case": "inside-independent-set"})
 
     spill_cap = n // 2 - a_mask.bit_count()  # = (1/2 - alpha) * n
-    state = grow_low_spill_set(g, a_mask, spill_cap, n // 2)
-    b_mask, p_b = state.grown_mask, state.p_grown
+    b_mask = grow_low_spill_set(g, a_mask, spill_cap, n // 2)
+    p_b = Fraction(b_mask.bit_count(), n)
+    rho_b = part_density(g, b_mask)
     require(alpha <= p_b <= Fraction(1, 2), f"grown density {p_b} outside [{alpha}, 1/2]")
-    require(state.rho_grown <= 2 * (Fraction(1, 2) - alpha) * (p_b - alpha),
-            f"grown set has edge density {state.rho_grown} above its spill budget")
+    require(rho_b <= 2 * (Fraction(1, 2) - alpha) * (p_b - alpha),
+            f"grown set has edge density {rho_b} above its spill budget")
 
     if b_mask.bit_count() == n // 2:
         cert = certificate(g, "independence", Half.from_mask(n, b_mask),
@@ -110,24 +84,18 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
             "greedy pass stopped while a vertex was still under the spill cap")
 
     # crowded vertices: more than half their edges land in the grown set
-    crowded = [
+    c_mask = _mask_of(
         v for v in range(n)
         if not b_mask >> v & 1 and 2 * (g.adj[v] & b_mask).bit_count() > b_mask.bit_count()
-    ]
-    c_mask = _mask_of(crowded)
-    for u in crowded:
-        if g.adj[u] & c_mask:
-            raise DataInconsistencyError(
-                "crowded vertices are adjacent; they should share a grown-set neighbor"
-            )
+    )
+    require(_induced_edges(g.adj, c_mask) == 0,
+            "crowded vertices are adjacent; they should share a grown-set neighbor")
 
     d_size = n - a_mask.bit_count() - b_mask.bit_count()  # (1 - alpha - p_b) * n
     free = [v for v in range(n) if not (b_mask | c_mask) >> v & 1]
-    if len(free) < d_size:
-        raise DataInconsistencyError(
+    require(len(free) >= d_size,
             f"reservoir needs {d_size} vertices but only {len(free)} are outside "
-            "the grown and crowded sets; contradicts the independence hypothesis"
-        )
+            "the grown and crowded sets; contradicts the independence hypothesis")
     d_mask = _mask_of(free[:d_size])
 
     need = n // 2 - b_mask.bit_count()  # (1/2 - p_b) * n
@@ -148,14 +116,10 @@ def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCert
         p_e = Fraction(fan_mask.bit_count(), n)
         p_f = Fraction(rest_mask.bit_count(), n)
         numer = Fraction(1, 2) - p_b - p_e
-        if p_f == 0:
-            if numer != 0:
-                raise DataInconsistencyError("empty remainder with weight left to place")
-            p = Fraction(0)
-        else:
-            p = numer / p_f
+        require(p_f != 0 or numer == 0, "empty remainder with weight left to place")
+        p = numer / p_f if p_f else Fraction(0)
         require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
-        mu = _weights(n, [(_bits(b_mask | fan_mask), Fraction(1)), (_bits(rest_mask), p)])
+        mu = _weights(n, [(b_mask | fan_mask, Fraction(1)), (rest_mask, p)])
         cert = certificate(g, "independence", mu,
                            {**base_params, "case": "fractional-rest", "p_b": p_b,
                             "pivot": v0, "p": p})

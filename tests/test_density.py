@@ -13,8 +13,9 @@ from halfgraph.density import (
     c4_lower_general,
     c4_lower_no_2matching,
     c4_lower_trivial,
+    cross_density,
     max_degree_rel,
-    partition_densities,
+    part_density,
     rho,
 )
 from halfgraph.graphcore import (
@@ -116,21 +117,18 @@ def test_theorem_bounds_on_small_graphs():
 
 def test_partition_densities_square_example():
     g = cycle(4)
-    d = partition_densities(g, {"x": [0, 1], "y": [2, 3]})
-    assert d.within["x"] == Fraction(1, 16)
-    assert d.within["y"] == Fraction(1, 16)
-    assert d.cross[("x", "y")] == Fraction(4, 16)
-    assert d.p["x"] == Fraction(1, 2)
+    x, y = 0b0011, 0b1100
+    assert part_density(g, x) == Fraction(1, 16)
+    assert part_density(g, y) == Fraction(1, 16)
+    assert cross_density(g, x, y) == cross_density(g, y, x) == Fraction(4, 16)
 
 
 def test_partition_densities_edge_cases():
     g = cycle(5)
-    full = partition_densities(g, {"x": range(5)})
-    assert full.within["x"] == rho(g) / 2
-    empty_part = partition_densities(g, {"x": []})
-    assert empty_part.p["x"] == 0 and empty_part.within["x"] == 0
+    assert part_density(g, 0b11111) == rho(g) / 2
+    assert part_density(g, 0) == 0 and cross_density(g, 0, 0b11111) == 0
     with pytest.raises(ValueError):
-        partition_densities(g, {"x": [0, 1], "y": [1, 2]})
+        cross_density(g, 0b011, 0b110)
 
 
 def test_partition_sum_rule_random():
@@ -140,10 +138,31 @@ def test_partition_sum_rule_random():
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
         g = Graph.from_edges(n, edges)
         labels = [rng.randrange(3) for _ in range(n)]
-        parts = {f"p{i}": [v for v in range(n) if labels[v] == i] for i in range(3)}
-        d = partition_densities(g, parts)
-        total = 2 * sum(d.within.values()) + sum(d.cross.values())
+        parts = [sum(1 << v for v in range(n) if labels[v] == i) for i in range(3)]
+        total = 2 * sum(part_density(g, x) for x in parts) + sum(
+            cross_density(g, parts[i], parts[j]) for i, j in ((0, 1), (0, 2), (1, 2))
+        )
         assert total == rho(g)
+
+
+@st.composite
+def graphs_with_disjoint_masks(draw, max_n=12):
+    g = draw(small_graphs(max_n=max_n))
+    labels = draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    x = sum(1 << v for v, label in enumerate(labels) if label == 0)
+    y = sum(1 << v for v, label in enumerate(labels) if label == 1)
+    return g, x, y
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_with_disjoint_masks())
+def test_part_and_cross_density_match_an_edge_count(case):
+    g, x, y = case
+    inside = sum(1 for u, v in g.edges() if x >> u & 1 and x >> v & 1)
+    between = sum(1 for u, v in g.edges()
+                  if x >> u & 1 and y >> v & 1 or y >> u & 1 and x >> v & 1)
+    assert part_density(g, x) == Fraction(inside, g.n**2)
+    assert cross_density(g, x, y) == Fraction(2 * between, g.n**2)
 
 
 def test_max_degree_rel():

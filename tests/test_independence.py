@@ -12,9 +12,10 @@ from halfgraph.graphcore import (
     cycle,
     independence_number,
     is_triangle_free,
+    load_graph6,
     named,
 )
-from halfgraph.halves import beta_of_half
+from halfgraph.halves import CertificateError, beta_of_half
 from halfgraph.independence import (
     grow_low_spill_set,
     independence_half,
@@ -101,6 +102,23 @@ def test_input_validation():
         independence_half(cycle(6), (0, 1))  # not independent
 
 
+def test_failed_step_raises_a_certificate_error():
+    # triangle-free, alpha = 7/18 >= 3/8, yet the reservoir runs short
+    g = load_graph6("QiEqYIhiTQAViPkoTG_dtPMxCz_")
+    assert is_triangle_free(g) and independence_number(g)[0] == 8
+    with pytest.raises(CertificateError, match="reservoir needs 3 vertices"):
+        independence_half(g, (0, 2, 4, 7, 11, 15, 16))
+
+
+def test_set_larger_than_half_is_capped():
+    star = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
+    cert = independence_half(star, (1, 2, 3, 4, 5))
+    assert cert.params["alpha"] == Fraction(1, 2)
+    assert cert.params["analytic_bound"] == 0
+    assert cert.bound == 0
+    assert cert.half.support() == (1, 2, 3)
+
+
 def test_outside_hypothesis_flag():
     g = named("petersen").graph
     _, witness = independence_number(g)
@@ -111,12 +129,9 @@ def test_outside_hypothesis_flag():
 
 def test_grow_low_spill_set_order_and_cap():
     g = cycle(6)
-    state = grow_low_spill_set(g, 0b000001, spill_cap=0, target=3)
-    # vertex 0 seeded; only vertices not adjacent to the set qualify at cap 0
-    assert state.grown_mask.bit_count() == 3
-    assert state.history == (2, 4)
-    assert state.p_grown == Fraction(1, 2)
-    assert state.rho_grown == 0
+    # vertex 0 seeded; only vertices not adjacent to the set qualify at cap 0,
+    # so 2 and then 4 are absorbed
+    assert grow_low_spill_set(g, 0b000001, spill_cap=0, target=3) == 0b010101
 
 
 def test_random_graphs_meet_analytic_bound():
