@@ -29,7 +29,6 @@ from .graphcore import (
     enumerate_triangle_free,
     girth,
     has_induced_2matching,
-    independence_number,
     is_triangle_free,
     load_graph6,
     named,
@@ -110,7 +109,7 @@ def cmd_beta(args) -> int:
     elif method == "triple":
         cert = triple_half_bound(g)
     elif method == "independence":
-        cert = independence_half(g, independence_number(g)[1])
+        cert = independence_half(g)
     elif method == "local-search":
         cert = local_search_half(g, seed=args.seed, restarts=args.retries)
     else:  # pragma: no cover - argparse restricts choices

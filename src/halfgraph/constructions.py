@@ -234,16 +234,14 @@ def _expect_named(ng: NamedGraph, name: str) -> Graph:
     return ng.graph
 
 
-def clebsch_recipe_half(ng: NamedGraph, edge: tuple[int, int] | None = None) -> BoundCertificate:
-    """Union of the two endpoints' neighborhoods, minus the endpoints.
+def clebsch_recipe_half(ng: NamedGraph) -> BoundCertificate:
+    """Union of the first edge's endpoint neighborhoods, minus the endpoints.
 
     Disjoint neighborhoods force exactly 8 = n/2 vertices; the certificate
-    records the induced edge count (at most 5, i.e. beta <= 1/50).
+    records the induced edge count (4 on every edge, so beta <= 1/50).
     """
     g = _expect_named(ng, "clebsch")
-    u, v = edge if edge is not None else g.edges()[0]
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
+    u, v = g.edges()[0]
     mask = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
     if mask.bit_count() != g.n // 2:
         raise RecipeSearchError(f"neighborhood union has {mask.bit_count()} vertices, wanted 8")

@@ -1,9 +1,9 @@
-"""Constructive sparse halves for graphs with a large independent set.
+"""Constructive sparse halves for graphs with a large independence number.
 
-Starting from an independent set of density alpha >= 3/8 (n even), a greedy
-pass absorbs vertices that bring few edges; the leftover structure is split
-into the crowded vertices, a reservoir, and a pivot fan, and one of two case
-constructions produces a half whose exact value is at most
+Starting from a maximum independent set of density alpha >= 3/8 (n even), a
+greedy pass absorbs vertices that bring few edges; the leftover structure is
+split into the crowded vertices, a reservoir, and a pivot fan, and one of two
+case constructions produces a half whose exact value is at most
 (alpha/2) * (1/2 - alpha).
 """
 
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .density import part_density
 from .exactmath import Polynomial, RationalFunc
-from .graphcore import Graph, _bits, _induced_edges, _mask_of
+from .graphcore import Graph, _bits, _induced_edges, _mask_of, independence_number
 from .halves import BoundCertificate, Half, _weights, certificate, require
 
 
@@ -34,23 +34,20 @@ def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -
     return mask
 
 
-def independence_half(g: Graph, indep: tuple[int, ...] | list[int]) -> BoundCertificate:
-    """Build a half from an independent set of density alpha, with exact value.
+def independence_half(g: Graph) -> BoundCertificate:
+    """Build a half from a maximum independent set of g, with exact value.
 
-    A set larger than n/2 is cut to its n/2 lowest vertices first, so alpha
-    is at most 1/2.  The certificate's bound is the recomputed beta of the
-    returned half; the analytic guarantee (alpha/2)(1/2 - alpha) rides in
-    params, along with an `outside_hypothesis` flag when alpha < 3/8 (the
-    construction still runs, the guarantee just is not asserted).
+    The set is `independence_number(g)`'s witness (the reservoir step needs a
+    maximum set), cut to its n/2 lowest vertices, so alpha = min(alpha(G),
+    1/2).  The certificate's bound is the recomputed beta of the returned
+    half; the analytic guarantee (alpha/2)(1/2 - alpha) rides in params, along
+    with an `outside_hypothesis` flag when alpha < 3/8 (the construction still
+    runs, the guarantee just is not asserted).
     """
     n = g.n
     if n % 2:
         raise ValueError("construction needs even n; blow the graph up by 2 first")
-    a_mask = _mask_of(indep)
-    for v in _bits(a_mask):
-        if g.adj[v] & a_mask:
-            raise ValueError(f"vertex {v} has a neighbor inside the supposed independent set")
-    a_mask = _mask_of(list(_bits(a_mask))[: n // 2])
+    a_mask = _mask_of(independence_number(g)[1][: n // 2])
     alpha = Fraction(a_mask.bit_count(), n)
     analytic = alpha / 2 * (Fraction(1, 2) - alpha)
     base_params = {

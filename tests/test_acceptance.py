@@ -24,7 +24,6 @@ from halfgraph.density import (
 from halfgraph.exactmath import RHO0
 from halfgraph.girth5 import girth5_report
 from halfgraph.graphcore import (
-    Graph,
     count_edge_rooted_flags4,
     enumerate_triangle_free,
     has_induced_2matching,
@@ -33,7 +32,11 @@ from halfgraph.graphcore import (
 )
 from halfgraph.halves import beta_exact, beta_of_half, local_search_half
 from halfgraph.independence import independence_half
-from halfgraph.verify import independence_formula_checks, verify_sparse_identities
+from halfgraph.verify import (
+    _random_triangle_free,
+    independence_formula_checks,
+    verify_sparse_identities,
+)
 
 FIFTY = Fraction(1, 50)
 
@@ -143,9 +146,7 @@ def test_criterion_09_sparse_identity_suite():
 
 
 def test_criterion_10_independence_constructive_suite():
-    g = named("petersen").graph
-    _, witness = independence_number(g)
-    assert independence_half(g, witness).bound <= FIFTY
+    assert independence_half(named("petersen").graph).bound <= FIFTY
 
     assert independence_formula_checks().ok
 
@@ -153,20 +154,12 @@ def test_criterion_10_independence_constructive_suite():
     tested = 0
     while tested < 200:
         n = rng.choice([12, 14, 16, 18, 20, 22, 24])
-        rows = [0] * n
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        for u, v in pairs[: rng.randint(2 * n, 8 * n)]:
-            if not rows[u] & rows[v]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        graph = Graph(n, rows)
-        size, witness = independence_number(graph)
+        graph = _random_triangle_free(rng, n, rng.randint(2 * n, 8 * n))
+        size = independence_number(graph)[0]
         if Fraction(size, n) < Fraction(3, 8):
             continue
         tested += 1
-        chosen = witness[: min(size, n // 2)]
-        cert = independence_half(graph, chosen)
-        alpha = Fraction(len(chosen), n)
+        cert = independence_half(graph)
+        alpha = Fraction(min(size, n // 2), n)
         assert cert.bound <= alpha / 2 * (Fraction(1, 2) - alpha)
     _report("10 constructive independence suite (Petersen, identities, 200 random graphs)")

@@ -204,10 +204,14 @@ def test_clebsch_recipe():
 
 
 def test_clebsch_recipe_all_edges_equal():
-    ng = named("clebsch")
-    counts = {clebsch_recipe_half(ng, e).params["induced_edges"] for e in ng.graph.edges()}
-    assert len(counts) == 1
-    assert counts.pop() <= 5
+    # the recipe takes the first edge; every other edge's union spans as many edges
+    g = named("clebsch").graph
+    counts = set()
+    for u, v in g.edges():
+        union = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
+        assert union.bit_count() == 8
+        counts.add(sum(1 for a, b in g.edges() if union >> a & union >> b & 1))
+    assert counts == {clebsch_recipe_half(named("clebsch")).params["induced_edges"]}
 
 
 def test_clebsch_recipe_rejects_other_graphs():

@@ -20,32 +20,31 @@ from halfgraph.independence import (
     grow_low_spill_set,
     independence_half,
 )
-from halfgraph.verify import independence_formula_checks
-
-
-def random_triangle_free(rng, n, attempts):
-    rows = [0] * n
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    rng.shuffle(pairs)
-    for u, v in pairs[:attempts]:
-        if rows[u] & rows[v]:
-            continue
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return Graph(n, rows)
+from halfgraph.verify import _random_triangle_free, independence_formula_checks
 
 
 def pivotless_gadget() -> Graph:
     """40 vertices: greedy stalls, nobody is crowded, and no pivot reaches the
-    reservoir, forcing the fractional construction."""
-    edges = set()
+    reservoir, forcing the fractional construction.  Vertices 15-39 then take
+    every edge that keeps the graph triangle-free, in lexicographic order, so
+    that 0-14 is a maximum independent set."""
+    rows = [0] * 40
+
+    def join(u, v):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+
     for i in range(10):
         for k in range(6):
-            edges.add(tuple(sorted((15 + i, (3 * i + k) % 15))))
+            join(15 + i, (3 * i + k) % 15)
     for j in range(15):
         for k in range(6):
-            edges.add(tuple(sorted((25 + j, (j + k) % 15))))
-    return Graph.from_edges(40, edges)
+            join(25 + j, (j + k) % 15)
+    for u in range(15, 40):
+        for v in range(u + 1, 40):
+            if not rows[u] & rows[v]:
+                join(u, v)
+    return Graph(40, rows)
 
 
 def test_formula_checks_all_pass():
@@ -61,8 +60,7 @@ def test_formula_checks_all_pass():
 
 def test_petersen_certificate():
     g = named("petersen").graph
-    _, witness = independence_number(g)
-    cert = independence_half(g, witness)
+    cert = independence_half(g)
     assert cert.bound <= Fraction(1, 50)
     assert cert.bound == beta_of_half(g, cert.half)
     assert cert.params["analytic_bound"] == Fraction(1, 50)
@@ -71,15 +69,14 @@ def test_petersen_certificate():
 
 def test_pentagon_blowup_certificate():
     g = blowup(cycle(5), 2)
-    _, witness = independence_number(g)
-    assert len(witness) == 4
-    cert = independence_half(g, witness)
+    assert independence_number(g)[0] == 4
+    cert = independence_half(g)
     assert cert.bound <= Fraction(1, 50)
 
 
 def test_bipartite_completes_immediately():
     g = complete_bipartite(4, 4)
-    cert = independence_half(g, tuple(range(4)))
+    cert = independence_half(g)
     assert cert.bound == 0
     assert cert.params["analytic_bound"] == 0
     assert cert.params["case"] == "inside-independent-set"
@@ -87,32 +84,43 @@ def test_bipartite_completes_immediately():
 
 def test_fractional_case_certificate():
     g = pivotless_gadget()
-    assert is_triangle_free(g)
-    cert = independence_half(g, tuple(range(15)))
+    assert is_triangle_free(g) and len(g.edges()) == 240
+    assert independence_number(g) == (15, tuple(range(15)))
+    cert = independence_half(g)
     assert cert.params["case"] == "fractional-rest"
-    alpha = Fraction(15, 40)
-    assert cert.bound <= alpha / 2 * (Fraction(1, 2) - alpha)
+    assert cert.params["alpha"] == Fraction(15, 40)
+    assert cert.bound == Fraction(59, 2880)
+    assert cert.bound <= cert.params["analytic_bound"] == Fraction(3, 128)
     assert cert.bound == beta_of_half(g, cert.half)
 
 
-def test_input_validation():
-    with pytest.raises(ValueError):
-        independence_half(cycle(5), (0, 2))  # odd n
-    with pytest.raises(ValueError):
-        independence_half(cycle(6), (0, 1))  # not independent
+def test_input_validation(monkeypatch):
+    def no_search(_g):
+        raise AssertionError("odd n must be rejected before the alpha search")
+
+    monkeypatch.setattr("halfgraph.independence.independence_number", no_search)
+    with pytest.raises(ValueError, match="even n"):
+        independence_half(cycle(5))
 
 
-def test_failed_step_raises_a_certificate_error():
-    # triangle-free, alpha = 7/18 >= 3/8, yet the reservoir runs short
+def test_failed_step_raises_a_certificate_error(monkeypatch):
     g = load_graph6("QiEqYIhiTQAViPkoTG_dtPMxCz_")
     assert is_triangle_free(g) and independence_number(g)[0] == 8
+    cert = independence_half(g)
+    assert cert.params["case"] == "pivot-fan"
+    assert cert.params["alpha"] == Fraction(4, 9)
+    assert cert.bound == Fraction(1, 108) <= cert.params["analytic_bound"] == Fraction(1, 81)
+    # a maximal but not maximum set of density 7/18 >= 3/8 leaves the
+    # reservoir short, and the failed step is a CertificateError
+    monkeypatch.setattr("halfgraph.independence.independence_number",
+                        lambda _g: (7, (0, 2, 4, 7, 11, 15, 16)))
     with pytest.raises(CertificateError, match="reservoir needs 3 vertices"):
-        independence_half(g, (0, 2, 4, 7, 11, 15, 16))
+        independence_half(g)
 
 
 def test_set_larger_than_half_is_capped():
     star = Graph.from_edges(6, [(0, v) for v in range(1, 6)])
-    cert = independence_half(star, (1, 2, 3, 4, 5))
+    cert = independence_half(star)
     assert cert.params["alpha"] == Fraction(1, 2)
     assert cert.params["analytic_bound"] == 0
     assert cert.bound == 0
@@ -120,10 +128,12 @@ def test_set_larger_than_half_is_capped():
 
 
 def test_outside_hypothesis_flag():
-    g = named("petersen").graph
-    _, witness = independence_number(g)
-    cert = independence_half(g, witness[:3])  # alpha = 3/10 < 3/8
+    g = named("clebsch").graph
+    cert = independence_half(g)  # alpha = 5/16 < 3/8
+    assert cert.params["alpha"] == Fraction(5, 16)
     assert cert.params["outside_hypothesis"]
+    assert cert.params["case"] == "greedy-filled"
+    assert cert.bound == Fraction(3, 128)
     assert cert.bound == beta_of_half(g, cert.half)
 
 
@@ -139,13 +149,12 @@ def test_random_graphs_meet_analytic_bound():
     tested = 0
     while tested < 60:
         n = rng.choice([12, 14, 16, 18, 20, 22, 24])
-        g = random_triangle_free(rng, n, rng.randint(3 * n, 8 * n))
-        size, witness = independence_number(g)
+        g = _random_triangle_free(rng, n, rng.randint(3 * n, 8 * n))
+        size = independence_number(g)[0]
         if Fraction(size, n) < Fraction(3, 8):
             continue
         tested += 1
-        chosen = witness[: min(size, n // 2)]
-        cert = independence_half(g, chosen)
-        alpha = Fraction(len(chosen), n)
+        cert = independence_half(g)
+        alpha = Fraction(min(size, n // 2), n)
         assert cert.bound <= alpha / 2 * (Fraction(1, 2) - alpha)
         assert cert.bound == beta_of_half(g, cert.half)
