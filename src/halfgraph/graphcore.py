@@ -372,52 +372,81 @@ def save_graph6(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _refine(adj, cells):
-    """Equitable refinement of an ordered partition; deterministic.
+def _refine(adj, cells, settled=0):
+    """Equitable refinement of an ordered partition into int-mask cells; deterministic.
 
-    Splitters are tried in cell order; after a split the next try starts
-    again at the first cell, and the loop ends once every cell is a singleton.
+    A cell's vertices are its set bits, in increasing order. Splitters are
+    tried in cell order, and the first one that splits a cell splits every
+    cell it can: the pieces follow their count of neighbours in the splitter,
+    lowest first (for a singleton splitter {s}, the non-neighbours of s, then
+    its neighbours). The loop ends once every cell is a singleton or no cell
+    splits another. A splitter that splits nothing still splits nothing once
+    the cells are finer, and neither does one that was just applied, so such
+    a cell is not tried again until it is split itself. `settled` is the union
+    of the cells known to split nothing on entry, as every cell of an
+    equitable partition does; this leaves the result unchanged.
     """
-    cells = [list(c) for c in cells]
-    n = sum(len(c) for c in cells)
+    cells = list(cells)
+    n = len(adj)
     i = 0
     while i < len(cells) < n:
-        smask = 0
-        for v in cells[i]:
-            smask |= 1 << v
+        smask = cells[i]
+        if smask & settled == smask:
+            i += 1
+            continue
+        settled |= smask
         out = None  # the split partition, built from the first cell that splits
-        for k, cell in enumerate(cells):
-            if len(cell) > 1:
-                groups: dict[int, list[int]] = {}
-                for v in cell:
-                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
+        if smask & (smask - 1):
+            for k, cell in enumerate(cells):
+                if cell & (cell - 1):
+                    groups: dict[int, int] = {}
+                    rest = cell
+                    while rest:
+                        low = rest & -rest
+                        count = (adj[low.bit_length() - 1] & smask).bit_count()
+                        groups[count] = groups.get(count, 0) | low
+                        rest ^= low
+                    if len(groups) > 1:
+                        if out is None:
+                            out, first = cells[:k], k
+                        out.extend(groups[key] for key in sorted(groups))
+                        settled &= ~cell
+                        continue
+                if out is not None:
+                    out.append(cell)
+        else:
+            row = adj[smask.bit_length() - 1]
+            for k, cell in enumerate(cells):
+                hit = cell & row
+                if hit and hit != cell:
                     if out is None:
-                        out = cells[:k]
-                    out.extend(groups[key] for key in sorted(groups))
-                    continue
-            if out is not None:
-                out.append(cell)
+                        out, first = cells[:k], k
+                    out.append(cell ^ hit)
+                    out.append(hit)
+                    settled &= ~cell
+                elif out is not None:
+                    out.append(cell)
         if out is None:
             i += 1
         else:
             cells = out
-            i = 0
+            i = min(i + 1, first)
     return cells
 
 
 def _cell_is_twin_class(adj, cell):
     """True when any ordering inside the cell yields the same labeled graph."""
-    cmask = 0
-    for v in cell:
-        cmask |= 1 << v
-    outside = adj[cell[0]] & ~cmask
-    if any(adj[v] & ~cmask != outside for v in cell[1:]):
-        return False
-    inner = [adj[v] & cmask for v in cell]
-    if all(i == 0 for i in inner):
-        return True
-    return all(inner[k] == cmask ^ (1 << v) for k, v in enumerate(cell))
+    low = cell & -cell
+    outside = adj[low.bit_length() - 1] & ~cell
+    inner_empty = inner_full = True
+    for v in _bits(cell):
+        row = adj[v]
+        if row & ~cell != outside:
+            return False
+        inner = row & cell
+        inner_empty = inner_empty and not inner
+        inner_full = inner_full and inner == cell ^ (1 << v)
+    return inner_empty or inner_full
 
 
 def _perm_key(adj, perm):
@@ -432,32 +461,73 @@ def _perm_key(adj, perm):
 
 
 def _canon_core(adj, n):
-    by_degree: dict[int, list[int]] = {}
+    """The smallest `_perm_key` over the search's leaves, and the automorphisms it met.
+
+    The search individualizes a vertex of the first non-singleton cell and
+    refines, down to discrete partitions (the leaves); a twin-class cell is
+    split whole, since its order does not change the key. Two leaves with
+    equal keys give an automorphism. An automorphism that fixes every
+    singleton of a node's partition fixes the partition, so it maps the
+    subtree of one child onto the subtree of another with the same keys: a
+    child in the orbit of an explored sibling under such automorphisms is
+    skipped, and the minimum key stays the one of the whole tree.
+    """
+    by_degree: dict[int, int] = {}
     for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    start = [by_degree[d] for d in sorted(by_degree)]
-    best = None
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    best = best_perm = None
+    found = []  # (permutation, mask of its fixed points)
 
     def search(cells):
-        nonlocal best
-        idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        nonlocal best, best_perm
+        idx = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if idx is None:
-            key = _perm_key(adj, [v for c in cells for v in c])
+            perm = [c.bit_length() - 1 for c in cells]
+            key = _perm_key(adj, perm)
             if best is None or key < best:
-                best = key
+                best, best_perm = key, perm
+            elif key == best:
+                gamma = [0] * n
+                for u, v in zip(best_perm, perm):
+                    gamma[u] = v
+                found.append((gamma, sum(1 << v for v in range(n) if gamma[v] == v)))
             return
         cell = cells[idx]
+        head, tail = cells[:idx], cells[idx + 1:]
         if _cell_is_twin_class(adj, cell):
-            split = cells[:idx] + [[v] for v in cell] + cells[idx + 1 :]
-            search(_refine(adj, split))
+            search(_refine(adj, head + [1 << v for v in _bits(cell)] + tail, ~cell))
             return
-        for v in cell:
-            rest = [u for u in cell if u != v]
-            split = cells[:idx] + [[v], rest] + cells[idx + 1 :]
-            search(_refine(adj, split))
+        fixed = sum(c for c in cells if not c & (c - 1))
+        explored = 0  # the explored children, closed under the usable automorphisms
+        for v in _bits(cell):
+            if explored >> v & 1:
+                continue
+            search(_refine(adj, head + [1 << v, cell ^ (1 << v)] + tail, ~cell))
+            explored |= 1 << v
+            gens = [gamma for gamma, fix in found if not fixed & ~fix]
+            todo = explored
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                u = low.bit_length() - 1
+                for gamma in gens:
+                    w = 1 << gamma[u]
+                    if not explored & w:
+                        explored |= w
+                        todo |= w
 
-    search(_refine(adj, start))
-    return best
+    search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+    return best, [gamma for gamma, _ in found]
+
+
+def _core(g: Graph):
+    """The non-isolated vertices of g and their rows, relabeled in sorted order."""
+    core = [v for v in range(g.n) if g.adj[v]]
+    if len(core) == g.n:
+        return core, g.adj
+    return core, [sum(1 << i for i, u in enumerate(core) if row >> u & 1)
+                  for row in g.adj if row]
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -466,16 +536,24 @@ def canonical_key(g: Graph) -> tuple:
     Isolated vertices are stripped first (they only contribute a count),
     which keeps the search tree small on near-empty graphs.
     """
-    core_vertices = [v for v in range(g.n) if g.adj[v]]
-    isolated = g.n - len(core_vertices)
-    if not core_vertices:
-        return (g.n, isolated, ())
-    rows = g.adj
-    if isolated:
-        # the induced core's rows, relabeled in sorted order (as `subgraph` would)
-        rows = [sum(1 << i for i, u in enumerate(core_vertices) if row >> u & 1)
-                for row in rows if row]
-    return (g.n, isolated, _canon_core(rows, len(core_vertices)))
+    core, rows = _core(g)
+    if not core:
+        return (g.n, g.n, ())
+    return (g.n, g.n - len(core), _canon_core(rows, len(core))[0])
+
+
+def _automorphisms(g: Graph) -> list[list[int]]:
+    """Automorphisms of g that the canonical search met; isolated vertices stay fixed."""
+    core, rows = _core(g)
+    if not core:
+        return []
+    lifted = []
+    for gamma in _canon_core(rows, len(core))[1]:
+        perm = list(range(g.n))
+        for i, v in enumerate(core):
+            perm[v] = core[gamma[i]]
+        lifted.append(perm)
+    return lifted
 
 
 # ---------------------------------------------------------------------------
@@ -514,25 +592,72 @@ def _attachment_masks(g: Graph):
     return subsets
 
 
+def _new_vertex_wins(adj, deg, nsum, mask) -> bool:
+    """True when the vertex joined to `mask` has the largest sum of neighbour
+    degrees among the child's vertices of its degree |mask|.
+
+    `deg` and `nsum` are the parent's degrees and sums of neighbour degrees;
+    in the child a vertex w gains one degree, and |mask| on its sum, when it
+    is in the mask, and one on its sum per neighbour in the mask.
+    """
+    k = mask.bit_count()
+    own = k + sum(deg[v] for v in _bits(mask))
+    for w, row in enumerate(adj):
+        inside = mask >> w & 1
+        if deg[w] + inside == k and nsum[w] + (row & mask).bit_count() + inside * k > own:
+            return False
+    return True
+
+
+def _lowest_per_orbit(masks, perms):
+    """The lowest of `masks` (increasing) in each orbit of the group that `perms` generate."""
+    seen: set[int] = set()
+    kept = []
+    for mask in masks:
+        if mask in seen:
+            continue
+        kept.append(mask)
+        seen.add(mask)
+        todo = [mask]
+        while todo:
+            image = todo.pop()
+            for perm in perms:
+                moved = 0
+                for v in _bits(image):
+                    moved |= 1 << perm[v]
+                if moved not in seen:
+                    seen.add(moved)
+                    todo.append(moved)
+    return kept
+
+
 @lru_cache(maxsize=None)
 def _triangle_free_level(n: int) -> tuple[Graph, ...]:
     """The canonical form of every class on n vertices, sorted by canonical key.
 
-    A child is kept only when its new vertex has maximum degree: with k = |mask|
+    A child is kept only when its new vertex has maximum degree (with k = |mask|
     and D the parent's maximum degree, k >= D, and k > D if the mask holds a
-    vertex of degree D. Only the children kept are canonized.
+    vertex of degree D) and wins the tie-break of `_new_vertex_wins`. Of the
+    masks left, one per orbit under the parent's automorphisms is kept. Only
+    the children kept are canonized.
     """
     if n == 1:
         return (empty(1),)
     keys = set()
     top = 1 << (n - 1)
     for parent in _triangle_free_level(n - 1):
-        dmax = parent.max_degree()
-        peak = sum(1 << v for v, row in enumerate(parent.adj) if row.bit_count() == dmax)
-        for mask in _attachment_masks(parent):
-            if mask.bit_count() < dmax + bool(mask & peak):
-                continue
-            rows = [row | top if mask >> v & 1 else row for v, row in enumerate(parent.adj)]
+        adj = parent.adj
+        deg = [row.bit_count() for row in adj]
+        dmax = max(deg)
+        peak = sum(1 << v for v, d in enumerate(deg) if d == dmax)
+        nsum = [sum(deg[u] for u in _bits(row)) for row in adj]
+        masks = [mask for mask in _attachment_masks(parent)
+                 if mask.bit_count() >= dmax + bool(mask & peak)
+                 and _new_vertex_wins(adj, deg, nsum, mask)]
+        if len(masks) > 1:
+            masks = _lowest_per_orbit(masks, _automorphisms(parent))
+        for mask in masks:
+            rows = [row | top if mask >> v & 1 else row for v, row in enumerate(adj)]
             rows.append(mask)
             keys.add(canonical_key(Graph._trusted(n, tuple(rows))))
     return tuple(_graph_from_key(key) for key in sorted(keys))
@@ -541,16 +666,23 @@ def _triangle_free_level(n: int) -> tuple[Graph, ...]:
 def enumerate_triangle_free(n: int) -> list[Graph]:
     """One graph per isomorphism class of triangle-free graphs on n vertices.
 
-    Canonical deletion of a maximum-degree vertex: each (n-1)-vertex class
-    gets a new vertex attached to an independent set, kept only when the new
-    vertex has maximum degree, and the children are deduplicated by canonical
-    key. No class is lost: a class C has a vertex v of maximum degree, C - v
-    is isomorphic to some parent P, and N(v) maps to an independent mask of P
-    that twin pruning keeps or swaps for one whose child is isomorphic by an
-    isomorphism fixing the new vertex. Each class is listed in its canonical
-    form (core in canonical order, isolated vertices last), sorted by key.
-    Levels above ENUM_MAX_N raise ResourceLimitError before any work. Each
-    level is computed once per process; every call returns a fresh list.
+    Canonical deletion of a vertex that is largest under (degree, sum of
+    neighbour degrees): each (n-1)-vertex class gets a new vertex attached to
+    an independent set, a child is kept only when its new vertex is such a
+    vertex, one mask per orbit under automorphisms of the parent is kept, and
+    the children are deduplicated by canonical key. No class is lost: a class
+    C has a largest vertex v, C - v is isomorphic to some parent P, and N(v)
+    maps to an independent mask M of P whose child, isomorphic to C, passes
+    the deletion rule. Twin pruning keeps M or swaps it for a mask whose child
+    is isomorphic to C by an isomorphism fixing the new vertex. The deletion
+    rule (degree, then the tie-break) depends only on isomorphism-invariant
+    properties of the mask and the new vertex, so an Aut(P) image of a mask
+    passes exactly when the mask does; the mask orbit pruning keeps from that
+    orbit passes too, and its child is isomorphic to C. Each class is listed
+    in its canonical form (core in canonical order, isolated vertices last),
+    sorted by key. Levels above ENUM_MAX_N raise ResourceLimitError before any
+    work. Each level is computed once per process; every call returns a fresh
+    list.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")

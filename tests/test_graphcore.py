@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import combinations
 from math import inf
@@ -242,6 +243,42 @@ def _oracle_refine(adj, cells):
     return cells
 
 
+def _oracle_canon_core(adj, n):
+    """The original canonizer: list cells, the oracle refinement, every leaf visited."""
+    by_degree = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    best = None
+
+    def is_twin_class(cell):
+        cmask = sum(1 << v for v in cell)
+        outside = adj[cell[0]] & ~cmask
+        if any(adj[v] & ~cmask != outside for v in cell[1:]):
+            return False
+        inner = [adj[v] & cmask for v in cell]
+        return all(i == 0 for i in inner) or all(
+            inner[k] == cmask ^ (1 << v) for k, v in enumerate(cell))
+
+    def search(cells):
+        nonlocal best
+        idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if idx is None:
+            key = graphcore._perm_key(adj, [v for c in cells for v in c])
+            if best is None or key < best:
+                best = key
+            return
+        cell = cells[idx]
+        if is_twin_class(cell):
+            search(_oracle_refine(adj, cells[:idx] + [[v] for v in cell] + cells[idx + 1:]))
+            return
+        for v in cell:
+            rest = [u for u in cell if u != v]
+            search(_oracle_refine(adj, cells[:idx] + [[v], rest] + cells[idx + 1:]))
+
+    search(_oracle_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
+    return best
+
+
 def _oracle_level(parents, n):
     """The unpruned level loop: every independent mask of every parent, validated."""
     level = {}
@@ -273,10 +310,15 @@ def graphs(draw, max_n=12, triangle_free=False):
 
 @st.composite
 def ordered_partitions(draw, n):
+    """Ordered partitions of range(n) into sorted cells, as every search partition is."""
     order = draw(st.permutations(range(n)))
     cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
     bounds = [0, *cuts, n]
-    return [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _cell_lists(cells):
+    return [list(graphcore._bits(c)) for c in cells]
 
 
 @settings(max_examples=200, deadline=None)
@@ -284,20 +326,63 @@ def ordered_partitions(draw, n):
 def test_refine_matches_the_oracle(data):
     g = data.draw(graphs())
     cells = data.draw(ordered_partitions(g.n))
-    assert graphcore._refine(g.adj, cells) == _oracle_refine(g.adj, cells)
+    refined = graphcore._refine(g.adj, [graphcore._mask_of(c) for c in cells])
+    assert _cell_lists(refined) == _oracle_refine(g.adj, cells)
+    # individualizing a vertex of an equitable partition: the cells left whole are settled
+    idx = next((i for i, c in enumerate(refined) if c & (c - 1)), None)
+    if idx is not None:
+        cell = refined[idx]
+        v = data.draw(st.sampled_from(_cell_lists([cell])[0]))
+        split = refined[:idx] + [1 << v, cell ^ (1 << v)] + refined[idx + 1:]
+        assert graphcore._refine(g.adj, split, ~cell) == graphcore._refine(g.adj, split)
 
 
 @settings(deadline=None)
 @given(graphs())
 def test_canonical_key_matches_the_oracle(g):
-    # the original key: the validated induced core, labeled with the oracle refinement
+    # the original key: the validated induced core, labeled by the unpruned list-cell search
     core = [v for v in range(g.n) if g.adj[v]]
     expected = (g.n, g.n - len(core), ())
     if core:
         sub = g.subgraph(core)
-        with mock.patch.object(graphcore, "_refine", _oracle_refine):
-            expected = (g.n, g.n - len(core), graphcore._canon_core(sub.adj, sub.n))
+        expected = (g.n, g.n - len(core), _oracle_canon_core(sub.adj, sub.n))
     assert canonical_key(g) == expected
+
+
+def _assert_automorphisms(g, perms):
+    for perm in perms:
+        assert sorted(perm) == list(range(g.n))
+        assert all(g.has_edge(perm[u], perm[v]) for u, v in g.edges())
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_reported_automorphisms_are_automorphisms(g):
+    _assert_automorphisms(g, graphcore._automorphisms(g))
+
+
+def rand_cubic(rng, n):
+    """A random 3-regular graph: random pairings of degree stubs until one is simple."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            return Graph.from_edges(n, edges)
+
+
+def test_reported_automorphisms_of_named_and_cubic_cores():
+    # Petersen and Clebsch are vertex-transitive, so their searches meet automorphisms;
+    # on random cubic graphs many leaves differ from the best one, so a pair of
+    # leaves with unequal keys taken for an automorphism would show
+    for g in (petersen(), clebsch()):
+        perms = graphcore._canon_core(g.adj, g.n)[1]
+        assert perms
+        _assert_automorphisms(g, perms)
+    rng = random.Random(4)
+    for n in (8, 10, 12) * 10:
+        g = rand_cubic(rng, n)
+        _assert_automorphisms(g, graphcore._canon_core(g.adj, g.n)[1])
 
 
 @settings(deadline=None)
@@ -310,15 +395,46 @@ def test_canonical_key_is_invariant_on_triangle_free_graphs(data):
     assert canonical_key(relabeled) == canonical_key(g)
 
 
+@settings(deadline=None)
+@given(st.data())
+def test_tie_break_matches_the_child(data):
+    # the rule read off the parent's degrees and the mask, against the built child
+    g = data.draw(graphs(max_n=9))
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    child = Graph.from_edges(g.n + 1, g.edges() + [(v, g.n) for v in graphcore._bits(mask)])
+    deg = [g.degree(v) for v in range(g.n)]
+    nsum = [sum(deg[u] for u in graphcore._bits(row)) for row in g.adj]
+    child_deg = [child.degree(v) for v in range(child.n)]
+    child_sum = [sum(child_deg[u] for u in graphcore._bits(row)) for row in child.adj]
+    expected = all(child_sum[w] <= child_sum[g.n]
+                   for w in range(g.n) if child_deg[w] == child_deg[g.n])
+    assert graphcore._new_vertex_wins(g.adj, deg, nsum, mask) == expected
+
+
 def test_pruned_levels_match_the_unpruned_oracle():
-    # the oracle grows its own corpus; representatives differ by design, keys must not
-    parents = [empty(1)]
+    # the oracle grows its own corpus; representatives differ by design, keys must not.
+    # The keys stay the same with the orbit rule or the tie-break rule switched off,
+    # so each rule only prunes.
+    rules_off = [
+        nullcontext(),
+        mock.patch.object(graphcore, "_automorphisms", lambda g: []),
+        mock.patch.object(graphcore, "_new_vertex_wins", lambda *args: True),
+    ]
+    parents, oracle_keys = [empty(1)], {}
     for n in range(2, 9):
         expected = _oracle_level(parents, n)
-        level = enumerate_triangle_free(n)
-        assert [canonical_key(g) for g in level] == sorted(key for key, _ in expected)
-        assert all(g == graphcore._graph_from_key(canonical_key(g)) for g in level)
+        oracle_keys[n] = sorted(key for key, _ in expected)
         parents = [g for _, g in expected]
+    for rule_off in rules_off:
+        graphcore._triangle_free_level.cache_clear()
+        try:
+            with rule_off:
+                for n, keys in oracle_keys.items():
+                    level = enumerate_triangle_free(n)
+                    assert [canonical_key(g) for g in level] == keys
+                    assert all(g == graphcore._graph_from_key(canonical_key(g)) for g in level)
+        finally:
+            graphcore._triangle_free_level.cache_clear()
 
 
 @settings(deadline=None)
