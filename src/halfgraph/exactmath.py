@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, isqrt, lcm
+from math import floor, isqrt, lcm
 
 
 class ExactDivisionError(ArithmeticError):
@@ -70,12 +70,19 @@ class _Exact:
     def __pow__(self, exp: int):
         if not isinstance(exp, int) or exp < 0:
             return NotImplemented
-        out = self._wrap(1)
+        if not exp:
+            return self._wrap(1)
+        # square up to the lowest set bit, start there, and multiply in the rest
         base = self
+        while not exp & 1:
+            base = base * base
+            exp >>= 1
+        out = base
+        exp >>= 1
         while exp:
+            base = base * base
             if exp & 1:
                 out = out * base
-            base = base * base
             exp >>= 1
         return out
 
@@ -105,20 +112,26 @@ class QuadNum(_Exact):
         return None
 
     # -- field ops ---------------------------------------------------------
+    # An int or Fraction operand is used as it is: a sum touches only `a`, a
+    # product costs two Fraction multiplications, and `_quad` skips
+    # re-coercing parts that are already Fraction.
     def __add__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b)
+        if isinstance(other, QuadNum):
+            return _quad(self.a + other.a, self.b + other.b)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a + other, self.b)
+        return NotImplemented
 
     def __mul__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return QuadNum(self.a * o.a + _SQ * self.b * o.b, self.a * o.b + self.b * o.a)
+        if isinstance(other, QuadNum):
+            a, b, c, d = self.a, self.b, other.a, other.b
+            return _quad(a * c + _SQ * b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _quad(self.a * other, self.b * other)
+        return NotImplemented
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b)
+        return _quad(-self.a, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 161*b^2 (product with the conjugate)."""
@@ -128,7 +141,7 @@ class QuadNum(_Exact):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("zero element of Q(sqrt(161))")
-        return QuadNum(self.a / n, -self.b / n)
+        return _quad(self.a / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._wrap(other)
@@ -197,6 +210,14 @@ class QuadNum(_Exact):
         if self.b == 0:
             return str(self.a)
         return f"({self.a})+({self.b})*sqrt(161)"
+
+
+def _quad(a: Fraction, b: Fraction) -> QuadNum:
+    """a + b*sqrt(161) from two parts that are already Fraction."""
+    z = object.__new__(QuadNum)
+    z.a = a
+    z.b = b
+    return z
 
 
 #: rho0 = (33 - sqrt(161))/116, the density threshold of the sparse case.
@@ -336,18 +357,26 @@ class Polynomial(_Exact):
         return Polynomial(self.variables, out)
 
     def eval(self, point: dict):
-        """Evaluate at a full variable binding; values may be Fraction or QuadNum."""
+        """Evaluate at a full variable binding; values may be int, Fraction or QuadNum.
+
+        Horner's scheme in one variable at a time: the terms are grouped by
+        that variable's exponent and each group's coefficient is evaluated on
+        the remaining variables.  QuadNum-valued variables come first, so the
+        inner sums stay in Fraction and only the outer loops multiply by a
+        QuadNum.  The result is a QuadNum exactly when some term has a nonzero
+        exponent on a QuadNum-valued variable, and a Fraction otherwise (the
+        zero polynomial gives Fraction(0)).
+        """
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"unbound variables: {missing}")
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(self.variables, exps):
-                if e:
-                    term = term * point[v] ** e
-            total = term + total
-        return total
+        if not self.terms:
+            return Fraction(0)
+        if not self.variables:
+            return self.terms[()]
+        values = [point[v] for v in self.variables]
+        order = sorted(range(len(values)), key=lambda i: not isinstance(values[i], QuadNum))
+        return _horner(list(self.terms.items()), order, values)
 
     def subs(self, var: str, replacement) -> "Polynomial":
         """Substitute `replacement` (polynomial or scalar) for one variable."""
@@ -432,6 +461,31 @@ class Polynomial(_Exact):
             else:
                 bits.append(f"({coeff})")
         return " + ".join(bits)
+
+
+def _horner(terms: list, order: list, values: list):
+    """Sum of coeff * prod(values[i] ** exps[i]) over (exps, coeff) in `terms`.
+
+    Horner's scheme in the variable at position order[0]; the coefficient of
+    each of its powers is the same sum over order[1:].  The exponent vectors
+    are distinct, so under the last variable each power has one term.
+    """
+    head, rest = order[0], order[1:]
+    if rest:
+        groups: dict = {}
+        for term in terms:
+            groups.setdefault(term[0][head], []).append(term)
+        coeffs = {e: _horner(group, rest, values) for e, group in groups.items()}
+    else:
+        coeffs = {exps[head]: coeff for exps, coeff in terms}
+    top = max(coeffs)
+    acc = coeffs[top]
+    x = values[head]
+    for e in range(top - 1, -1, -1):
+        acc = acc * x
+        if e in coeffs:
+            acc = acc + coeffs[e]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +647,15 @@ def _e2_coefficients(q: Polynomial, rho_val, delta_val) -> list:
 
 
 def _taylor_shift(coeffs: list, x0) -> list:
-    """Taylor coefficients of sum(c_m x^m) around x = x0."""
-    n = len(coeffs)
-    shifted = []
-    for r in range(n):
-        acc = QuadNum(0)
-        for m in range(r, n):
-            acc = acc + comb(m, r) * coeffs[m] * x0 ** (m - r)
-        shifted.append(acc)
+    """Taylor coefficients of sum(c_m x^m) around x = x0, each a QuadNum.
+
+    Repeated synthetic division by (x - x0): pass k folds x0 times each
+    coefficient into the one below it, from the top down to index k, so the
+    shift costs d(d+1)/2 multiply-adds for degree d.
+    """
+    shifted = [QuadNum._wrap(c) for c in coeffs]
+    d = len(shifted) - 1
+    for k in range(d):
+        for j in range(d - 1, k - 1, -1):
+            shifted[j] = shifted[j] + x0 * shifted[j + 1]
     return shifted

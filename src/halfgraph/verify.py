@@ -43,7 +43,6 @@ from .graphcore import (
     count_edge_rooted_flags4,
     enumerate_triangle_free,
     has_induced_2matching,
-    independence_number,
     named,
     srg_parameters,
 )
@@ -379,12 +378,12 @@ def _independence_random_graphs(seed):
     while tested < _RANDOM_SAMPLES:
         n = rng.choice([12, 14, 16, 18, 20, 22, 24])
         g = _random_triangle_free(rng, n, rng.randint(2 * n, 8 * n))
-        size = independence_number(g)[0]
-        if Fraction(size, n) < Fraction(3, 8):
+        # the certificate's alpha, min(alpha(G), n/2)/n, is below 3/8 exactly when alpha(G)/n is
+        cert = independence_half(g)
+        if cert.params["outside_hypothesis"]:
             continue
         tested += 1
-        cert = independence_half(g)
-        alpha = Fraction(min(size, n // 2), n)
+        alpha = cert.params["alpha"]
         if cert.bound > alpha / 2 * (Fraction(1, 2) - alpha):
             return f"violation on a {n}-vertex graph", "0 violations", False
     return f"{tested} random graphs", "0 violations", True

