@@ -9,8 +9,10 @@ single weight 1/2, so the exact search only visits those.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .graphcore import Graph, ResourceLimitError, _bits, _induced_edges, _mask_of
 
@@ -37,7 +39,14 @@ class Half:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        weights = []
+        for w in self.weights:
+            if type(w) is not Fraction:
+                if not isinstance(w, (int, Fraction)):  # a float would be inexact
+                    raise HalfError(f"weight {w!r} is a {type(w).__name__}, not an int or Fraction")
+                w = Fraction(w)
+            weights.append(w)
+        object.__setattr__(self, "weights", tuple(weights))
 
     @classmethod
     def from_mask(cls, n: int, mask: int, half_vertex: int | None = None) -> "Half":
@@ -64,21 +73,38 @@ def _weights(n: int, assignments) -> Half:
 def validate_half(g: Graph, mu: Half) -> None:
     if len(mu.weights) != g.n:
         raise HalfError(f"half has {len(mu.weights)} weights for {g.n} vertices")
-    if any(w < 0 or w > 1 for w in mu.weights):
+    # (numerator, denominator) pairs hash and compare in C, unlike Fractions
+    counts = Counter(map(Fraction.as_integer_ratio, mu.weights))
+    if any(p < 0 or p > q for p, q in counts):
         raise HalfError("weights must lie in [0, 1]")
-    total = sum(mu.weights)
+    total = sum(Fraction(p, q) * k for (p, q), k in counts.items())
     if 2 * total != g.n:
         raise HalfError(f"weights sum to {total}, expected {Fraction(g.n, 2)}")
 
 
 def beta_of_half(g: Graph, mu: Half) -> Fraction:
-    """Exact (1/n^2) * sum over edges of mu(u)*mu(v)."""
+    """Exact (1/n^2) * sum over edges of mu(u)*mu(v).
+
+    The vertices are grouped into one mask per distinct positive weight, so
+    the edges inside a class and between two classes are counted by popcounts,
+    and each pair of classes costs one Fraction product.
+    """
     validate_half(g, mu)
-    w = mu.weights
+    adj = g.adj
+    masks = {}
+    for v, ratio in enumerate(map(Fraction.as_integer_ratio, mu.weights)):
+        masks[ratio] = masks.get(ratio, 0) | 1 << v
+    classes = [(Fraction(*ratio), mask) for ratio, mask in masks.items() if ratio[0]]
     total = Fraction(0)
-    for u, v in g.edges():
-        if w[u] and w[v]:
-            total += w[u] * w[v]
+    for i, (w, mask) in enumerate(classes):
+        inside = _induced_edges(adj, mask)
+        if inside:
+            total += w * w * inside
+        rows = [adj[v] for v in _bits(mask)]
+        for w2, mask2 in classes[i + 1:]:
+            between = sum([(r & mask2).bit_count() for r in rows])
+            if between:
+                total += w * w2 * between
     return total / g.n**2
 
 
@@ -129,11 +155,15 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
     previous twin of order[i] in `order` is already in the mask.  A leaf that
     breaks the rule has a swapped copy that is reached earlier with the same
     value, so the first optimal leaf is never cut and the witness is unchanged.
+    A node is cut when its edges plus the `need` smallest edge gains of the
+    vertices left reach the incumbent.  The exclude child has the same mask,
+    so it takes its parent's sorted gains less the gain of order[index].
     """
     n, adj = g.n, g.adj
     half_size = n // 2
     odd = n % 2
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    rows = [adj[v] for v in order]
     # twin_bit[i]: bit of the last twin of order[i] before position i, else 0
     twin_bit = []
     last_seen = {}
@@ -150,37 +180,34 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
 
     nodes = 0
 
-    def completion_bound(mask, size, index) -> int:
-        need = half_size - size
-        if need == 0:
-            return 0
-        gains = sorted((adj[order[i]] & mask).bit_count() for i in range(index, n))
-        return sum(gains[:need])
-
-    def walk(index: int, mask: int, size: int, edges: int):
+    def walk(index: int, mask: int, size: int, edges: int, gains: list[int] | None):
         nonlocal nodes, best_doubled, best_mask
         nodes += 1
         if nodes > max_nodes:
             raise ResourceLimitError(
                 f"branch-and-bound exceeded {max_nodes} nodes; raise max_nodes to continue"
             )
-        if size == half_size:
+        need = half_size - size
+        if need == 0:
             doubled = 2 * edges
             if odd:
                 doubled += _odd_cost(adj, n, mask)
             if doubled < best_doubled:
                 best_doubled, best_mask = doubled, mask
             return
-        if index == n or n - index < half_size - size:
+        if n - index < need:
             return
-        if 2 * (edges + completion_bound(mask, size, index)) >= best_doubled:
+        if gains is None:
+            gains = sorted([(r & mask).bit_count() for r in rows[index:]])
+        if 2 * (edges + sum(gains[:need])) >= best_doubled:
             return
-        v = order[index]
+        gain = (rows[index] & mask).bit_count()
         if mask & twin_bit[index] == twin_bit[index]:
-            walk(index + 1, mask | (1 << v), size + 1, edges + (adj[v] & mask).bit_count())
-        walk(index + 1, mask, size, edges)
+            walk(index + 1, mask | (1 << order[index]), size + 1, edges + gain, None)
+        gains.remove(gain)
+        walk(index + 1, mask, size, edges, gains)
 
-    walk(0, 0, 0, 0)
+    walk(0, 0, 0, 0, None)
     half_vertex = None
     if odd:  # the lowest-index vertex of least cost
         half_vertex = min((v for v in range(n) if not best_mask >> v & 1),
@@ -228,17 +255,21 @@ def _steepest_descent(adj, n, mask: int):
     for u in U1.
     """
     deg_in = [(adj[v] & mask).bit_count() for v in range(n)]
-    edges = sum(deg_in[v] for v in _bits(mask)) // 2
-    everyone = (1 << n) - 1
+    inside = [mask >> v & 1 for v in range(n)]
+    outside = [1 - f for f in inside]
+    edges = sum(compress(deg_in, inside)) // 2
+    vertices = range(n)
     while True:
-        top = max(deg_in[v] for v in _bits(mask))
-        low = min(deg_in[v] for v in _bits(everyone ^ mask))
+        top = max(compress(deg_in, inside))
+        low = min(compress(deg_in, outside))
         d0 = low - top
         if d0 > 0:
             return edges, mask
         u0 = u1 = w0 = w1 = 0
-        for v, d in enumerate(deg_in):
-            if mask >> v & 1:
+        wanted = (top, top - 1, low, low + 1).__contains__
+        for v in compress(vertices, map(wanted, deg_in)):
+            d = deg_in[v]
+            if inside[v]:
                 if d == top:
                     u0 |= 1 << v
                 elif d == top - 1:
@@ -262,6 +293,8 @@ def _steepest_descent(adj, n, mask: int):
                     break
         w = (hits & -hits).bit_length() - 1
         mask ^= (1 << u) | (1 << w)
+        inside[u] = outside[w] = 0
+        inside[w] = outside[u] = 1
         edges += delta
         for x in _bits(adj[u]):
             deg_in[x] -= 1

@@ -1,4 +1,8 @@
-"""Tests for the density layer; the O(n^4) tuple scan serves as the oracle."""
+"""Tests for the density layer.
+
+Two oracles check the 4-cycle density: the O(n^4) tuple scan for n <= 7, and
+an O(sum deg^2) walk over paths for n <= 12 and the named graphs.
+"""
 
 import random
 from fractions import Fraction
@@ -20,6 +24,7 @@ from halfgraph.density import (
 )
 from halfgraph.graphcore import (
     Graph,
+    _bits,
     blowup,
     cycle,
     enumerate_triangle_free,
@@ -47,6 +52,22 @@ def c4_brute(g: Graph) -> Fraction:
                 hits += 1
                 break
     return Fraction(hits, g.n**4)
+
+
+def c4_by_paths(g: Graph) -> Fraction:
+    """Oracle: ordered edges (v1, v2) and neighbors w1 of v1, then the admissible w2 by a mask."""
+    n, adj = g.n, g.adj
+    count = 0
+    for v1 in range(n):
+        row1 = adj[v1]
+        for v2 in _bits(row1):
+            row2 = adj[v2]
+            allowed = row2 & ~row1  # w2 ~ v2 and not ~ v1
+            for w1 in _bits(row1):
+                if row2 >> w1 & 1:
+                    continue  # w1 must not neighbor v2
+                count += (adj[w1] & allowed).bit_count()
+    return Fraction(3 * count, n**4)
 
 
 def test_rho_examples():
@@ -81,7 +102,42 @@ def small_graphs(draw, max_n=7):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_c4_density_matches_the_tuple_oracle(g):
-    assert c4_density(g) == c4_brute(g)
+    assert c4_density(g) == c4_brute(g) == c4_by_paths(g)
+
+
+@st.composite
+def triangle_free_plus_one_edge(draw, max_n=12):
+    """A random triangle-free graph with one more edge, which may close triangles."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    rows, edges = [0] * n, []
+    for u, v in pairs[:rng.randint(0, len(pairs))]:
+        if not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            edges.append((u, v))
+    missing = [(u, v) for u, v in pairs if not rows[u] >> v & 1]
+    if missing:
+        edges.append(rng.choice(missing))
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(max_n=12), triangle_free_plus_one_edge()))
+def test_c4_density_matches_the_path_oracle(g):
+    assert c4_density(g) == c4_by_paths(g)
+
+
+@pytest.mark.parametrize("name", ["petersen", "clebsch", "hoffman_singleton"])
+def test_c4_density_matches_the_path_oracle_with_one_added_edge(name):
+    g = named(name).graph
+    u = 0
+    w = next(v for v in range(1, g.n) if not g.has_edge(u, v) and g.adj[u] & g.adj[v])
+    h = Graph.from_edges(g.n, g.edges() + [(u, w)])  # closes a triangle through u and w
+    assert c4_density(g) == c4_by_paths(g)
+    assert c4_density(h) == c4_by_paths(h) != c4_density(g)
 
 
 def test_c4_tightness_at_the_two_extremal_graphs():

@@ -156,6 +156,23 @@ def _oracle_steepest_descent(adj, n, mask):
         outside.sort()
 
 
+def _oracle_beta_of_half(g, mu):
+    """beta(G, mu) as a per-edge Fraction sum, after a weight-by-weight validation."""
+    w = mu.weights
+    if len(w) != g.n:
+        raise HalfError(f"half has {len(w)} weights for {g.n} vertices")
+    if any(x < 0 or x > 1 for x in w):
+        raise HalfError("weights must lie in [0, 1]")
+    total = sum(w)
+    if 2 * total != g.n:
+        raise HalfError(f"weights sum to {total}, expected {Fraction(g.n, 2)}")
+    edge_mass = Fraction(0)
+    for u, v in g.edges():
+        if w[u] and w[v]:
+            edge_mass += w[u] * w[v]
+    return edge_mass / g.n**2
+
+
 def _mask(half):
     return sum(1 << v for v, w in enumerate(half.weights) if w == 1)
 
@@ -207,13 +224,56 @@ def test_beta_of_half_independent_support_is_zero():
 
 
 def test_beta_of_half_validation():
-    c5 = cycle(5)
-    with pytest.raises(HalfError):
-        beta_of_half(c5, Half((1, 1, 1, 0, 0)))  # sums to 3 != 5/2
-    with pytest.raises(HalfError):
-        beta_of_half(c5, Half((2, 0, 0, 0, Fraction(1, 2))))
-    with pytest.raises(HalfError):
-        validate_half(c5, Half((1, 0, 1)))
+    cases = [
+        ((1, 0, 1), "half has 3 weights for 5 vertices"),
+        ((2, 0, 0, 0, Fraction(1, 2)), "weights must lie in [0, 1]"),
+        ((-1, 1, 1, 1, Fraction(1, 2)), "weights must lie in [0, 1]"),
+        ((1, 1, 1, 0, 0), "weights sum to 3, expected 5/2"),
+        ((Fraction(1, 3),) * 5, "weights sum to 5/3, expected 5/2"),
+    ]
+    for weights, message in cases:
+        for check in (validate_half, beta_of_half, _oracle_beta_of_half):
+            with pytest.raises(HalfError) as err:
+                check(cycle(5), Half(weights))
+            assert str(err.value) == message
+
+
+@st.composite
+def graphs_with_halves(draw, max_n=14):
+    """A random graph padded with isolated vertices, and a mixed or an almost-0-1 half."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = rand_graph(rng, draw(st.integers(1, max_n)), draw(st.sampled_from([0.1, 0.35, 0.7])))
+    n = base.n + draw(st.integers(0, 3))
+    g = Graph.from_edges(n, base.edges())
+    if draw(st.booleans()):
+        return g, random_valid_half(rng, n)  # up to 27 distinct weights
+    mask = sum(1 << v for v in rng.sample(range(n), n // 2))
+    half_vertex = rng.choice([v for v in range(n) if not mask >> v & 1]) if n % 2 else None
+    return g, Half.from_mask(n, mask, half_vertex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_halves())
+def test_beta_of_half_matches_the_per_edge_oracle(case):
+    g, mu = case
+    assert beta_of_half(g, mu) == _oracle_beta_of_half(g, mu)
+
+
+@pytest.mark.parametrize("weights", [
+    (0.5, 0.5, 0.5, 0.5),
+    (0.1, 0.9, 0.5, 0.5),
+    (1, 0, Fraction(1, 2), 0.5),
+])
+def test_float_weight_is_a_half_error(weights):
+    with pytest.raises(HalfError, match="float"):
+        Half(weights)
+
+
+def test_int_and_fraction_weights_are_kept_exact():
+    mu = Half((1, 0, Fraction(1, 2), Fraction(1, 2)))
+    assert all(type(w) is Fraction for w in mu.weights)
+    assert mu.weights == (1, 0, Fraction(1, 2), Fraction(1, 2))
+    assert beta_of_half(cycle(4), mu) == Fraction(3, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +380,15 @@ def test_twin_pruned_branch_bound_matches_the_oracle_on_blowups():
     for g in (blowup(cycle(5), 4), blowup(cycle(5), 5), blowup(petersen(), 2),
               blowup(cycle(7), 3), blowup(enumerate_triangle_free(6)[-1], 3)):
         assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
+
+
+@pytest.mark.parametrize("g, nodes", [(blowup(petersen(), 3), 3_999), (blowup(cycle(5), 5), 1_121)],
+                         ids=["petersen x3", "c5 x5"])
+def test_branch_and_bound_node_counts_are_pinned(g, nodes):
+    # a weaker completion bound would visit more nodes with the same value and witness
+    assert beta_exact(g, max_nodes=nodes)[0] == Fraction(1, 50)
+    with pytest.raises(ResourceLimitError):
+        beta_exact(g, max_nodes=nodes - 1)
 
 
 def test_beta_exact_pinned_witness_of_the_c5_blowup():
