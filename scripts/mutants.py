@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Mutation gate: each mutant breaks one line the proofs rest on, and its tests must fail.
+
+    python3 scripts/mutants.py
+
+An entry is (file under src/, exact old text, replacement, test ids). For
+each entry, `src` and `tests` are copied to a temporary directory, the old
+text must occur exactly once in the copy, and the replacement is applied
+there; the named tests then run with `pytest -x` against the copy. A mutant
+whose tests pass survives. The script prints one killed/survived line per
+entry and exits 1 if any survived. Standard library only.
+
+Only mutants that change behaviour belong here. Dropping a pruning rule of
+the enumeration, for instance, only adds duplicate children and keeps every
+key, so it survives by design.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GRAPHCORE = "halfgraph/graphcore.py"
+GRAPHCORE_TESTS = "tests/test_graphcore.py::"
+
+MUTANTS = [
+    (  # prune with any found automorphism, not only those fixing the node's singletons
+        GRAPHCORE,
+        "gens = [gamma for gamma, fix in found if not fixed & ~fix]",
+        "gens = [gamma for gamma, fix in found]",
+        [GRAPHCORE_TESTS + "test_canonical_key_prunes_only_with_automorphisms_fixing_the_node"],
+    ),
+    (  # stored automorphisms moved by perm instead of its inverse
+        GRAPHCORE,
+        "bytes([pos[gamma[v]] for v in perm])",
+        "bytes([perm[gamma[v]] for v in perm])",
+        [GRAPHCORE_TESTS + "test_stored_automorphisms_are_automorphisms_of_the_canonical_forms"],
+    ),
+    (  # isolated vertices of the canonical form numbered from 0
+        GRAPHCORE,
+        "isolated = bytes(range(len(perm), n))",
+        "isolated = bytes(range(n - len(perm)))",
+        [GRAPHCORE_TESTS + "test_stored_automorphisms_are_automorphisms_of_the_canonical_forms"],
+    ),
+    (  # leaf key rows built from vertex labels instead of positions
+        GRAPHCORE,
+        "bit[v] = 1 << i",
+        "bit[v] = 1 << v",
+        [GRAPHCORE_TESTS + "test_perm_key_matches_the_oracle"],
+    ),
+    (  # twin rule inverted: a mask may take a twin only without the lower one
+        GRAPHCORE,
+        "s & need == need",
+        "not s & need",
+        [GRAPHCORE_TESTS + "test_enumeration_counts"],
+    ),
+    (  # tie-break: a vertex that only ties the new one beats it
+        GRAPHCORE,
+        "+ inside * k > own",
+        "+ inside * k >= own",
+        [GRAPHCORE_TESTS + "test_enumeration_counts"],
+    ),
+]
+
+
+def run_mutant(file: str, old: str, new: str, tests: list[str]) -> bool:
+    """True when the named tests fail on the mutated copy (the mutant is killed)."""
+    with tempfile.TemporaryDirectory(prefix="halfgraph-mutant-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        shutil.copytree(ROOT / "tests", work / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = work / "src" / file
+        text = target.read_text()
+        count = text.count(old)
+        if count != 1:
+            raise SystemExit(f"{file}: {old!r} occurs {count} times, expected once")
+        target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        imported = subprocess.run(
+            [sys.executable, "-c", "import halfgraph; print(halfgraph.__file__)"],
+            cwd=work, env=env, capture_output=True, text=True, check=True).stdout
+        if not Path(imported.strip()).is_relative_to(work):
+            raise SystemExit(f"the tests would import halfgraph from {imported.strip()}")
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=work, env=env, capture_output=True, text=True)
+        if result.returncode not in (0, 1):
+            raise SystemExit(f"pytest could not run the tests (exit {result.returncode}):\n"
+                             f"{result.stdout}{result.stderr}")
+        return result.returncode == 1
+
+
+def main() -> int:
+    survivors = 0
+    for file, old, new, tests in MUTANTS:
+        start = time.perf_counter()
+        killed = run_mutant(file, old, new, tests)
+        survivors += not killed
+        print(f"{'killed  ' if killed else 'SURVIVED'} {file}: {old!r} -> {new!r} "
+              f"({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -450,27 +450,40 @@ def _cell_is_twin_class(adj, cell):
 
 
 def _perm_key(adj, perm):
+    """Row i holds bit j when perm[i] and perm[j] are adjacent, for j < i.
+
+    Only the neighbours placed earlier are walked: `seen` is the mask of the
+    vertices placed so far and `bit[u]` the position bit of a placed vertex u.
+    """
+    bit = [0] * len(adj)
+    seen = 0
     rows = []
     for i, v in enumerate(perm):
-        bits = 0
-        for j in range(i):
-            if adj[v] >> perm[j] & 1:
-                bits |= 1 << j
-        rows.append(bits)
+        row = 0
+        rest = adj[v] & seen
+        while rest:
+            low = rest & -rest
+            row |= bit[low.bit_length() - 1]
+            rest ^= low
+        rows.append(row)
+        bit[v] = 1 << i
+        seen |= 1 << v
     return tuple(rows)
 
 
 def _canon_core(adj, n):
-    """The smallest `_perm_key` over the search's leaves, and the automorphisms it met.
+    """(key, perm, automorphisms): the smallest `_perm_key` over the search's
+    leaves, the leaf order `perm` that first gave it, and the automorphisms met.
 
     The search individualizes a vertex of the first non-singleton cell and
     refines, down to discrete partitions (the leaves); a twin-class cell is
     split whole, since its order does not change the key. Two leaves with
-    equal keys give an automorphism. An automorphism that fixes every
-    singleton of a node's partition fixes the partition, so it maps the
-    subtree of one child onto the subtree of another with the same keys: a
-    child in the orbit of an explored sibling under such automorphisms is
-    skipped, and the minimum key stays the one of the whole tree.
+    equal keys give an automorphism gamma, as a list with gamma[u] the image
+    of u. An automorphism that fixes every singleton of a node's partition
+    fixes the partition, so it maps the subtree of one child onto the subtree
+    of another with the same keys: a child in the orbit of an explored
+    sibling under such automorphisms is skipped, and the minimum key stays
+    the one of the whole tree.
     """
     by_degree: dict[int, int] = {}
     for v in range(n):
@@ -518,42 +531,37 @@ def _canon_core(adj, n):
                         todo |= w
 
     search(_refine(adj, [by_degree[d] for d in sorted(by_degree)]))
-    return best, [gamma for gamma, _ in found]
+    return best, best_perm, [gamma for gamma, _ in found]
 
 
-def _core(g: Graph):
-    """The non-isolated vertices of g and their rows, relabeled in sorted order."""
-    core = [v for v in range(g.n) if g.adj[v]]
-    if len(core) == g.n:
-        return core, g.adj
-    return core, [sum(1 << i for i, u in enumerate(core) if row >> u & 1)
-                  for row in g.adj if row]
+def _canonize(adj):
+    """(key, perm, automorphisms) of the graph with rows `adj`.
+
+    Isolated vertices are stripped first (they only contribute a count), and
+    the other vertices, the core, are relabeled 0, 1, ... in increasing order.
+    `perm` and the automorphisms are `_canon_core`'s on the core rows, in
+    those labels; the key is (n, number of isolated vertices, core key).
+    """
+    n = len(adj)
+    core = [v for v in range(n) if adj[v]]
+    if not core:
+        return (n, n, ()), [], []
+    rows = adj
+    if len(core) < n:
+        rows = [sum(1 << i for i, u in enumerate(core) if row >> u & 1) for row in adj if row]
+    key, perm, automorphisms = _canon_core(rows, len(core))
+    return (n, n - len(core), key), perm, automorphisms
 
 
 def canonical_key(g: Graph) -> tuple:
     """Hashable isomorphism certificate: equal keys iff isomorphic graphs.
 
-    Isolated vertices are stripped first (they only contribute a count),
-    which keeps the search tree small on near-empty graphs.
+    The key is (n, number of isolated vertices, the rows of the core in
+    canonical order, each as the bitmask of its earlier neighbours); see
+    `_canonize`. Stripping isolated vertices keeps the search tree small on
+    near-empty graphs.
     """
-    core, rows = _core(g)
-    if not core:
-        return (g.n, g.n, ())
-    return (g.n, g.n - len(core), _canon_core(rows, len(core))[0])
-
-
-def _automorphisms(g: Graph) -> list[list[int]]:
-    """Automorphisms of g that the canonical search met; isolated vertices stay fixed."""
-    core, rows = _core(g)
-    if not core:
-        return []
-    lifted = []
-    for gamma in _canon_core(rows, len(core))[1]:
-        perm = list(range(g.n))
-        for i, v in enumerate(core):
-            perm[v] = core[gamma[i]]
-        lifted.append(perm)
-    return lifted
+    return _canonize(g.adj)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +639,37 @@ def _lowest_per_orbit(masks, perms):
     return kept
 
 
+def _on_canonical_form(n, perm, automorphisms):
+    """`_canonize`'s automorphisms of a core, moved onto the class's canonical form.
+
+    Vertex i < len(perm) of the form is core vertex perm[i], so gamma becomes
+    i -> pos[gamma[perm[i]]], with pos the inverse of perm; the isolated
+    vertices, last in the form, stay fixed. Each comes back as `bytes` (n < 256).
+    """
+    pos = [0] * len(perm)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    isolated = bytes(range(len(perm), n))
+    return tuple(bytes([pos[gamma[v]] for v in perm]) + isolated for gamma in automorphisms)
+
+
 @lru_cache(maxsize=None)
-def _triangle_free_level(n: int) -> tuple[Graph, ...]:
-    """The canonical form of every class on n vertices, sorted by canonical key.
+def _triangle_free_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]:
+    """The canonical form of every class on n vertices, sorted by canonical key,
+    and for each the automorphisms of that form its canonization met.
 
     A child is kept only when its new vertex has maximum degree (with k = |mask|
     and D the parent's maximum degree, k >= D, and k > D if the mask holds a
     vertex of degree D) and wins the tie-break of `_new_vertex_wins`. Of the
-    masks left, one per orbit under the parent's automorphisms is kept. Only
-    the children kept are canonized.
+    masks left, one per orbit under the parent's stored automorphisms is kept.
+    Only the children kept are canonized, each once; a class stores the
+    automorphisms of the first child that gave its key.
     """
     if n == 1:
-        return (empty(1),)
-    keys = set()
+        return (empty(1),), ((),)
+    found: dict[tuple, tuple[bytes, ...]] = {}  # canonical key -> its automorphisms
     top = 1 << (n - 1)
-    for parent in _triangle_free_level(n - 1):
+    for parent, automorphisms in zip(*_triangle_free_level(n - 1)):
         adj = parent.adj
         deg = [row.bit_count() for row in adj]
         dmax = max(deg)
@@ -655,12 +679,15 @@ def _triangle_free_level(n: int) -> tuple[Graph, ...]:
                  if mask.bit_count() >= dmax + bool(mask & peak)
                  and _new_vertex_wins(adj, deg, nsum, mask)]
         if len(masks) > 1:
-            masks = _lowest_per_orbit(masks, _automorphisms(parent))
+            masks = _lowest_per_orbit(masks, automorphisms)
         for mask in masks:
             rows = [row | top if mask >> v & 1 else row for v, row in enumerate(adj)]
             rows.append(mask)
-            keys.add(canonical_key(Graph._trusted(n, tuple(rows))))
-    return tuple(_graph_from_key(key) for key in sorted(keys))
+            key, perm, gammas = _canonize(rows)
+            if key not in found:
+                found[key] = _on_canonical_form(n, perm, gammas)
+    keys = sorted(found)
+    return tuple(_graph_from_key(key) for key in keys), tuple(found[key] for key in keys)
 
 
 def enumerate_triangle_free(n: int) -> list[Graph]:
@@ -678,7 +705,10 @@ def enumerate_triangle_free(n: int) -> list[Graph]:
     rule (degree, then the tie-break) depends only on isomorphism-invariant
     properties of the mask and the new vertex, so an Aut(P) image of a mask
     passes exactly when the mask does; the mask orbit pruning keeps from that
-    orbit passes too, and its child is isomorphic to C. Each class is listed
+    orbit passes too, and its child is isomorphic to C. The orbits are those
+    of the automorphisms met when the parent's class was canonized, moved
+    onto P: any set of automorphisms of P generates a subgroup of Aut(P), and
+    the argument holds for the orbits of any subgroup. Each class is listed
     in its canonical form (core in canonical order, isolated vertices last),
     sorted by key. Levels above ENUM_MAX_N raise ResourceLimitError before any
     work. Each level is computed once per process; every call returns a fresh
@@ -689,7 +719,7 @@ def enumerate_triangle_free(n: int) -> list[Graph]:
     if n > ENUM_MAX_N:
         raise ResourceLimitError(
             f"n={n} exceeds the enumeration limit of {ENUM_MAX_N} vertices")
-    return list(_triangle_free_level(n))
+    return list(_triangle_free_level(n)[0])
 
 
 def count_edge_rooted_flags4() -> int:

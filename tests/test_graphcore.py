@@ -151,6 +151,35 @@ def test_canonical_key_is_isomorphism_invariant():
         assert canonical_key(g) == canonical_key(relabeled)
 
 
+def shrikhande_and_rook():
+    """The Shrikhande graph and the 4x4 rook's graph side by side: two
+    non-isomorphic SRG(16, 6, 2, 2), on vertices 0-15 and 16-31."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    edges = []
+    for (i, (a, b)), (j, (c, d)) in combinations(enumerate(cells), 2):
+        if ((c - a) % 4, (d - b) % 4) in steps:
+            edges.append((i, j))
+        if (a == c) != (b == d):
+            edges.append((16 + i, 16 + j))
+    return Graph.from_edges(32, edges)
+
+
+def test_canonical_key_prunes_only_with_automorphisms_fixing_the_node():
+    # the search may prune a child with a found automorphism only if it fixes every
+    # singleton of the node's partition; with any found automorphism allowed, some
+    # of these relabelings lose the minimum leaf and get a second key
+    g = shrikhande_and_rook()
+    assert srg_parameters(g.subgraph(range(16))) == srg_parameters(g.subgraph(range(16, 32)))
+    rng = random.Random(1)
+    keys = set()
+    for _ in range(20):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        keys.add(canonical_key(Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])))
+    assert len(keys) == 1
+
+
 def test_canonical_key_separates_same_degree_sequence():
     two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert canonical_key(cycle(6)) != canonical_key(two_triangles)
@@ -243,6 +272,18 @@ def _oracle_refine(adj, cells):
     return cells
 
 
+def _oracle_perm_key(adj, perm):
+    """The original key of a leaf: row i has bit j, for j < i, when perm[i] ~ perm[j]."""
+    rows = []
+    for i, v in enumerate(perm):
+        bits = 0
+        for j in range(i):
+            if adj[v] >> perm[j] & 1:
+                bits |= 1 << j
+        rows.append(bits)
+    return tuple(rows)
+
+
 def _oracle_canon_core(adj, n):
     """The original canonizer: list cells, the oracle refinement, every leaf visited."""
     by_degree = {}
@@ -263,7 +304,7 @@ def _oracle_canon_core(adj, n):
         nonlocal best
         idx = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if idx is None:
-            key = graphcore._perm_key(adj, [v for c in cells for v in c])
+            key = _oracle_perm_key(adj, [v for c in cells for v in c])
             if best is None or key < best:
                 best = key
             return
@@ -338,6 +379,14 @@ def test_refine_matches_the_oracle(data):
 
 
 @settings(deadline=None)
+@given(st.data())
+def test_perm_key_matches_the_oracle(data):
+    g = data.draw(graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    assert graphcore._perm_key(g.adj, perm) == _oracle_perm_key(g.adj, perm)
+
+
+@settings(deadline=None)
 @given(graphs())
 def test_canonical_key_matches_the_oracle(g):
     # the original key: the validated induced core, labeled by the unpruned list-cell search
@@ -358,7 +407,31 @@ def _assert_automorphisms(g, perms):
 @settings(deadline=None)
 @given(graphs())
 def test_reported_automorphisms_are_automorphisms(g):
-    _assert_automorphisms(g, graphcore._automorphisms(g))
+    # on the core, as the search reports them, and moved onto the canonical form
+    key, perm, gammas = graphcore._canonize(g.adj)
+    core = [v for v in range(g.n) if g.adj[v]]
+    assert sorted(perm) == list(range(len(core)))
+    if core:
+        sub = g.subgraph(core)
+        assert graphcore._perm_key(sub.adj, perm) == key[2]
+        _assert_automorphisms(sub, gammas)
+    else:
+        assert gammas == []
+    form = graphcore._graph_from_key(key)
+    _assert_automorphisms(form, graphcore._on_canonical_form(g.n, perm, gammas))
+
+
+def test_stored_automorphisms_are_automorphisms_of_the_canonical_forms():
+    # the orbit rule of each level uses these; a mix-up of perm and its inverse, or
+    # a wrong offset for the isolated vertices, breaks some of them
+    stored = 0
+    for n in range(1, 9):
+        forms, automorphisms = graphcore._triangle_free_level(n)
+        assert len(forms) == len(automorphisms)
+        for form, perms in zip(forms, automorphisms):
+            _assert_automorphisms(form, perms)
+            stored += len(perms)
+    assert stored > 100
 
 
 def rand_cubic(rng, n):
@@ -376,13 +449,13 @@ def test_reported_automorphisms_of_named_and_cubic_cores():
     # on random cubic graphs many leaves differ from the best one, so a pair of
     # leaves with unequal keys taken for an automorphism would show
     for g in (petersen(), clebsch()):
-        perms = graphcore._canon_core(g.adj, g.n)[1]
+        perms = graphcore._canon_core(g.adj, g.n)[2]
         assert perms
         _assert_automorphisms(g, perms)
     rng = random.Random(4)
     for n in (8, 10, 12) * 10:
         g = rand_cubic(rng, n)
-        _assert_automorphisms(g, graphcore._canon_core(g.adj, g.n)[1])
+        _assert_automorphisms(g, graphcore._canon_core(g.adj, g.n)[2])
 
 
 @settings(deadline=None)
@@ -414,10 +487,10 @@ def test_tie_break_matches_the_child(data):
 def test_pruned_levels_match_the_unpruned_oracle():
     # the oracle grows its own corpus; representatives differ by design, keys must not.
     # The keys stay the same with the orbit rule or the tie-break rule switched off,
-    # so each rule only prunes.
+    # so each rule only prunes; switched off, each canonizes more children.
     rules_off = [
         nullcontext(),
-        mock.patch.object(graphcore, "_automorphisms", lambda g: []),
+        mock.patch.object(graphcore, "_lowest_per_orbit", lambda masks, perms: masks),
         mock.patch.object(graphcore, "_new_vertex_wins", lambda *args: True),
     ]
     parents, oracle_keys = [empty(1)], {}
@@ -425,16 +498,20 @@ def test_pruned_levels_match_the_unpruned_oracle():
         expected = _oracle_level(parents, n)
         oracle_keys[n] = sorted(key for key, _ in expected)
         parents = [g for _, g in expected]
+    canonized = []
     for rule_off in rules_off:
         graphcore._triangle_free_level.cache_clear()
         try:
-            with rule_off:
-                for n, keys in oracle_keys.items():
-                    level = enumerate_triangle_free(n)
-                    assert [canonical_key(g) for g in level] == keys
-                    assert all(g == graphcore._graph_from_key(canonical_key(g)) for g in level)
+            with rule_off, mock.patch.object(
+                    graphcore, "_canonize", wraps=graphcore._canonize) as canonize:
+                levels = {n: enumerate_triangle_free(n) for n in oracle_keys}
+                canonized.append(canonize.call_count)
+            for n, keys in oracle_keys.items():
+                assert [canonical_key(g) for g in levels[n]] == keys
+                assert all(g == graphcore._graph_from_key(canonical_key(g)) for g in levels[n])
         finally:
             graphcore._triangle_free_level.cache_clear()
+    assert canonized[0] < min(canonized[1:])
 
 
 @settings(deadline=None)
@@ -517,7 +594,7 @@ def test_enumeration_refuses_levels_above_the_limit(monkeypatch):
     def level(n):
         if n > graphcore.ENUM_MAX_N:
             pytest.fail(f"the enumeration of level {n} started")
-        return ()
+        return (), ()
 
     monkeypatch.setattr(graphcore, "_triangle_free_level", level)
     assert enumerate_triangle_free(graphcore.ENUM_MAX_N) == []
