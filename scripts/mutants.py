@@ -28,6 +28,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GRAPHCORE = "halfgraph/graphcore.py"
 GRAPHCORE_TESTS = "tests/test_graphcore.py::"
+HALVES = "halfgraph/halves.py"
+HALVES_TESTS = "tests/test_halves.py::"
 
 MUTANTS = [
     (  # prune with any found automorphism, not only those fixing the node's singletons
@@ -65,6 +67,31 @@ MUTANTS = [
         "+ inside * k > own",
         "+ inside * k >= own",
         [GRAPHCORE_TESTS + "test_enumeration_counts"],
+    ),
+    (  # twin rule dropped: every twin may enter the half out of order
+        HALVES,
+        "if mask & twin_bit[index] == twin_bit[index]:",
+        "if True:",
+        [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
+    ),
+    (  # completion bound weakened: one gain fewer than the vertices still needed
+        HALVES,
+        "sum(gains[:need])",
+        "sum(gains[:need - 1])",
+        [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
+    ),
+    (  # odd n: the half-weight vertex of greatest cost instead of least
+        HALVES,
+        "return min(((adj[v] & mask).bit_count(), v)",
+        "return max(((adj[v] & mask).bit_count(), v)",
+        [HALVES_TESTS
+         + "test_twin_pruned_branch_bound_matches_the_oracle_on_small_triangle_free_graphs"],
+    ),
+    (  # weights up to 2 accepted
+        HALVES,
+        "p < 0 or p > q",
+        "p < 0 or p > 2 * q",
+        [HALVES_TESTS + "test_beta_of_half_validation"],
     ),
 ]
 

@@ -27,7 +27,7 @@ from .graphcore import (
     _mask_of,
     is_triangle_free,
 )
-from .halves import BoundCertificate, Half, _weights, beta_of_half, certificate, require
+from .halves import BoundCertificate, Half, beta_of_half, certificate, require
 
 
 class RecipeSearchError(Exception):
@@ -90,7 +90,7 @@ def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, Boun
     rho_b = part_density(g, split.b)
     certs = []
     for tag, own, p in (("a1", split.a1, split.p1), ("a2", split.a2, split.p2)):
-        mu = _weights(g.n, [(own, Fraction(1)), (split.b, p)])
+        mu = Half.from_masks(g.n, [(own, 1), (split.b, p)])
         cert = certificate(g, "edge", mu, {
             "v1": split.v1, "v2": split.v2, "side": tag,
             "e1": split.e1, "e2": split.e2, "p": p,
@@ -139,8 +139,8 @@ def maxdeg_halves(g: Graph) -> BoundCertificate:
     v, delta, hood, rest = _max_degree_split(g)
     if delta >= Fraction(1, 2):
         raise ValueError(f"max degree {delta} >= 1/2; half weights would exceed 1")
-    mu0 = _weights(n, [(rest, 1 / (2 * (1 - delta)))])
-    mu1 = _weights(n, [(hood, Fraction(1)), (rest, (Fraction(1, 2) - delta) / (1 - delta))])
+    mu0 = Half.from_masks(n, [(rest, 1 / (2 * (1 - delta)))])
+    mu1 = Half.from_masks(n, [(hood, 1), (rest, (Fraction(1, 2) - delta) / (1 - delta))])
     beta0 = beta_of_half(g, mu0)
     beta1 = beta_of_half(g, mu1)
     analytic = rho(g) * (1 - 2 * delta) / (8 * (1 - delta) ** 2)
@@ -200,9 +200,9 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
     rho_b = part_density(g, split.b)
 
     p0 = (Fraction(1, 2) - split.e1 - split.e2) / (1 - split.e1 - split.e2)
-    mu0 = _weights(n, [(split.a1, Fraction(1)), (split.a2, Fraction(1)), (split.b, p0)])
-    mu1 = _weights(n, [(split.a1, Fraction(1)), (split.b, split.p1)])
-    mu2 = _weights(n, [(split.a2, Fraction(1)), (split.b, split.p2)])
+    mu0 = Half.from_masks(n, [(split.a1, 1), (split.a2, 1), (split.b, p0)])
+    mu1 = Half.from_masks(n, [(split.a1, 1), (split.b, split.p1)])
+    mu2 = Half.from_masks(n, [(split.a2, 1), (split.b, split.p2)])
 
     values = [beta_of_half(g, mu) for mu in (mu0, mu1, mu2)]
     closed_forms = [
@@ -246,7 +246,7 @@ def clebsch_recipe_half(ng: NamedGraph) -> BoundCertificate:
     if mask.bit_count() != g.n // 2:
         raise RecipeSearchError(f"neighborhood union has {mask.bit_count()} vertices, wanted 8")
     induced = _induced_edges(g.adj, mask)
-    cert = certificate(g, "clebsch-recipe", Half.from_mask(g.n, mask),
+    cert = certificate(g, "clebsch-recipe", Half.from_masks(g.n, [(mask, 1)]),
                        {"edge": (u, v), "induced_edges": induced})
     require(cert.bound == Fraction(induced, g.n**2),
             f"clebsch recipe: bound {cert.bound} != {induced}/{g.n**2}")
@@ -275,7 +275,7 @@ def gewirtz_recipe_half(ng: NamedGraph) -> BoundCertificate:
         if best is None or abs(induced - target_edges) < abs(best[0] - target_edges):
             best = (induced, roots)
         if induced == target_edges:
-            cert = certificate(g, "gewirtz-recipe", Half.from_mask(g.n, mask),
+            cert = certificate(g, "gewirtz-recipe", Half.from_masks(g.n, [(mask, 1)]),
                                {"roots": roots, "induced_edges": induced})
             require(cert.bound == Fraction(induced, g.n**2),
                     f"gewirtz recipe: bound {cert.bound} != {induced}/{g.n**2}")
@@ -310,8 +310,9 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
                 if mask >> v & 1:
                     continue
                 if (g.adj[v] & mask).bit_count() == 9:
+                    half = Half.from_masks(g.n, [(mask, 1), (1 << v, Fraction(1, 2))])
                     cert = certificate(
-                        g, "m22-recipe", Half.from_mask(g.n, mask, half_vertex=v),
+                        g, "m22-recipe", half,
                         {"roots": (u1, u2, u3), "pivot": v,
                          "set_size": size, "induced_edges": induced},
                     )

@@ -396,12 +396,10 @@ class Polynomial(_Exact):
             total = total + Polynomial(rest_vars, terms) * rep**power
         return total
 
-    def degree(self, var: str | None = None) -> int:
-        """Degree in `var` (or total degree); -1 for the zero polynomial."""
+    def degree(self, var: str) -> int:
+        """Degree in `var`; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        if var is None:
-            return max(sum(e) for e in self.terms)
         if var not in self.variables:
             return 0
         idx = self.variables.index(var)

@@ -750,7 +750,7 @@ def count_edge_rooted_flags4() -> int:
 class NamedGraph:
     name: str
     graph: Graph
-    expected_srg: tuple[int, int, int, int] | None = None
+    expected_srg: tuple[int, int, int, int]
 
 
 def srg_parameters(g: Graph) -> tuple[int, int, int, int]:
@@ -774,8 +774,6 @@ def _validate_named(name: str, g: Graph, expected: tuple[int, int, int, int]) ->
     params = srg_parameters(g)
     if params != expected:
         raise IntegrityError(f"{name}: got SRG parameters {params}, expected {expected}")
-    if params[2] != 0:
-        raise IntegrityError(f"{name}: lambda != 0, graph has triangles")
 
 
 def petersen() -> Graph:

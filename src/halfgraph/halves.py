@@ -9,7 +9,6 @@ single weight 1/2, so the exact search only visits those.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
@@ -18,6 +17,7 @@ from .graphcore import Graph, ResourceLimitError, _bits, _induced_edges, _mask_o
 
 
 EXACT_MAX_N = 36  # beta_exact refuses larger graphs instead of searching
+MAX_NODES = 20_000_000  # beta_exact's search-node budget
 
 
 class HalfError(ValueError):
@@ -49,52 +49,43 @@ class Half:
         object.__setattr__(self, "weights", tuple(weights))
 
     @classmethod
-    def from_mask(cls, n: int, mask: int, half_vertex: int | None = None) -> "Half":
-        w = [Fraction(mask >> v & 1) for v in range(n)]
-        if half_vertex is not None:
-            if mask >> half_vertex & 1:
-                raise HalfError("half-weight vertex already carries weight 1")
-            w[half_vertex] = Fraction(1, 2)
-        return cls(tuple(w))
+    def from_masks(cls, n: int, pairs) -> "Half":
+        """The half with weight w on the vertices of each (mask, w) pair, 0 elsewhere."""
+        weights = [Fraction(0)] * n
+        covered = 0
+        for mask, weight in pairs:
+            if covered & mask:
+                raise HalfError("a vertex is in two weight classes")
+            covered |= mask
+            for v in _bits(mask):
+                weights[v] = weight
+        return cls(tuple(weights))
 
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, w in enumerate(self.weights) if w)
 
 
-def _weights(n: int, assignments) -> Half:
-    """The half with weight `value` on the vertices of each (mask, value) pair, else 0."""
-    w = [Fraction(0)] * n
-    for mask, value in assignments:
-        for v in _bits(mask):
-            w[v] = value
-    return Half(tuple(w))
+def beta_of_half(g: Graph, mu: Half) -> Fraction:
+    """Exact (1/n^2) * sum over edges of mu(u)*mu(v), after validating mu.
 
-
-def validate_half(g: Graph, mu: Half) -> None:
+    One pass groups the vertices into one mask per distinct weight; the
+    range and the total are checked from those classes, the edges inside a
+    class and between two classes are counted by popcounts, and each pair of
+    classes costs one Fraction product.
+    """
     if len(mu.weights) != g.n:
         raise HalfError(f"half has {len(mu.weights)} weights for {g.n} vertices")
     # (numerator, denominator) pairs hash and compare in C, unlike Fractions
-    counts = Counter(map(Fraction.as_integer_ratio, mu.weights))
-    if any(p < 0 or p > q for p, q in counts):
-        raise HalfError("weights must lie in [0, 1]")
-    total = sum(Fraction(p, q) * k for (p, q), k in counts.items())
-    if 2 * total != g.n:
-        raise HalfError(f"weights sum to {total}, expected {Fraction(g.n, 2)}")
-
-
-def beta_of_half(g: Graph, mu: Half) -> Fraction:
-    """Exact (1/n^2) * sum over edges of mu(u)*mu(v).
-
-    The vertices are grouped into one mask per distinct positive weight, so
-    the edges inside a class and between two classes are counted by popcounts,
-    and each pair of classes costs one Fraction product.
-    """
-    validate_half(g, mu)
-    adj = g.adj
     masks = {}
     for v, ratio in enumerate(map(Fraction.as_integer_ratio, mu.weights)):
         masks[ratio] = masks.get(ratio, 0) | 1 << v
+    if any(p < 0 or p > q for p, q in masks):
+        raise HalfError("weights must lie in [0, 1]")
     classes = [(Fraction(*ratio), mask) for ratio, mask in masks.items() if ratio[0]]
+    weight = sum(w * mask.bit_count() for w, mask in classes)
+    if 2 * weight != g.n:
+        raise HalfError(f"weights sum to {weight}, expected {Fraction(g.n, 2)}")
+    adj = g.adj
     total = Fraction(0)
     for i, (w, mask) in enumerate(classes):
         inside = _induced_edges(adj, mask)
@@ -140,13 +131,21 @@ def certificate(g: Graph, method: str, half: Half, params: dict | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _odd_cost(adj, n: int, mask: int) -> int:
-    """Doubled cost of the best half-weight vertex: min |N(v) & mask| over v outside mask."""
-    return min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
+def _odd_cost(adj, n: int, mask: int) -> tuple[int, int]:
+    """(doubled cost, vertex) of the best half-weight vertex outside mask.
+
+    The cost of v is |N(v) & mask|; ties go to the lowest-index vertex.
+    """
+    return min(((adj[v] & mask).bit_count(), v) for v in range(n) if not mask >> v & 1)
 
 
-def _beta_branch_bound(g: Graph, max_nodes: int):
-    """Include-first depth-first search over `order`, highest degree first.
+def beta_exact(g: Graph):
+    """Exact beta(G) with a 0-1 (even n) or almost-0-1 (odd n) witness half.
+
+    Include-first depth-first branch-and-bound over `order`, highest degree
+    first, visiting at most MAX_NODES search nodes.  Graphs with more than
+    EXACT_MAX_N vertices, or searches that exhaust the node budget, raise
+    ResourceLimitError rather than approximating.
 
     A leaf replaces the incumbent only when strictly better, so the witness is
     the first optimal leaf in search order (or the lowest-degree incumbent).
@@ -154,12 +153,18 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
     swapped by an automorphism, so the search includes order[i] only when the
     previous twin of order[i] in `order` is already in the mask.  A leaf that
     breaks the rule has a swapped copy that is reached earlier with the same
-    value, so the first optimal leaf is never cut and the witness is unchanged.
+    value, so the first optimal leaf is never cut and the witness is unchanged;
+    on blow-ups this cuts the nodes (blowup(C5, 6): 90,893 -> 973).
     A node is cut when its edges plus the `need` smallest edge gains of the
     vertices left reach the incumbent.  The exclude child has the same mask,
     so it takes its parent's sorted gains less the gain of order[index].
     """
     n, adj = g.n, g.adj
+    if n > EXACT_MAX_N:
+        raise ResourceLimitError(
+            f"n={n} exceeds the exact-search limit of {EXACT_MAX_N} vertices"
+        )
+    max_nodes = MAX_NODES
     half_size = n // 2
     odd = n % 2
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
@@ -175,7 +180,7 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
     mask = _mask_of(sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size])
     best_doubled = 2 * _induced_edges(adj, mask)
     if odd:
-        best_doubled += _odd_cost(adj, n, mask)
+        best_doubled += _odd_cost(adj, n, mask)[0]
     best_mask = mask
 
     nodes = 0
@@ -184,14 +189,12 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
         nonlocal nodes, best_doubled, best_mask
         nodes += 1
         if nodes > max_nodes:
-            raise ResourceLimitError(
-                f"branch-and-bound exceeded {max_nodes} nodes; raise max_nodes to continue"
-            )
+            raise ResourceLimitError(f"branch-and-bound exceeded {max_nodes} nodes")
         need = half_size - size
         if need == 0:
             doubled = 2 * edges
             if odd:
-                doubled += _odd_cost(adj, n, mask)
+                doubled += _odd_cost(adj, n, mask)[0]
             if doubled < best_doubled:
                 best_doubled, best_mask = doubled, mask
             return
@@ -208,28 +211,10 @@ def _beta_branch_bound(g: Graph, max_nodes: int):
         walk(index + 1, mask, size, edges, gains)
 
     walk(0, 0, 0, 0, None)
-    half_vertex = None
-    if odd:  # the lowest-index vertex of least cost
-        half_vertex = min((v for v in range(n) if not best_mask >> v & 1),
-                          key=lambda v: (adj[v] & best_mask).bit_count())
-    return Fraction(best_doubled, 2 * n * n), Half.from_mask(n, best_mask, half_vertex)
-
-
-def beta_exact(g: Graph, max_nodes: int = 20_000_000):
-    """Exact beta(G) with a 0-1 (even n) or almost-0-1 (odd n) witness half.
-
-    Runs branch-and-bound over at most `max_nodes` search nodes.  Graphs with
-    more than EXACT_MAX_N vertices, or searches that exhaust the node budget,
-    raise ResourceLimitError rather than approximating.  Twins (vertices with
-    equal adjacency rows) enter the half in search order only, which cuts the
-    nodes on blow-ups (blowup(C5, 6): 90,893 -> 973) and leaves the value and
-    the witness unchanged, since swapping two twins is an automorphism.
-    """
-    if g.n > EXACT_MAX_N:
-        raise ResourceLimitError(
-            f"n={g.n} exceeds the exact-search limit of {EXACT_MAX_N} vertices"
-        )
-    return _beta_branch_bound(g, max_nodes)
+    pairs = [(best_mask, 1)]
+    if odd:
+        pairs.append((1 << _odd_cost(adj, n, best_mask)[1], Fraction(1, 2)))
+    return Fraction(best_doubled, 2 * n * n), Half.from_masks(n, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +308,7 @@ def local_search_half(g: Graph, seed: int = 1, restarts: int = 20) -> BoundCerti
         if edges == 0:
             break
     edges, mask, found_at = best
-    half = Half.from_mask(g.n, mask)
+    half = Half.from_masks(g.n, [(mask, 1)])
     cert = certificate(g, "local-search", half,
                        {"seed": seed, "restarts": restarts, "found_at_restart": found_at,
                         "induced_edges": edges})

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .density import part_density
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits, _induced_edges, _mask_of, independence_number
-from .halves import BoundCertificate, Half, _weights, certificate, require
+from .halves import BoundCertificate, Half, certificate, require
 
 
 def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -> int:
@@ -57,7 +57,7 @@ def independence_half(g: Graph) -> BoundCertificate:
     }
 
     if a_mask.bit_count() == n // 2:
-        return certificate(g, "independence", Half.from_mask(n, a_mask),
+        return certificate(g, "independence", Half.from_masks(n, [(a_mask, 1)]),
                            {**base_params, "case": "inside-independent-set"})
 
     spill_cap = n // 2 - a_mask.bit_count()  # = (1/2 - alpha) * n
@@ -69,7 +69,7 @@ def independence_half(g: Graph) -> BoundCertificate:
             f"grown set has edge density {rho_b} above its spill budget")
 
     if b_mask.bit_count() == n // 2:
-        cert = certificate(g, "independence", Half.from_mask(n, b_mask),
+        cert = certificate(g, "independence", Half.from_masks(n, [(b_mask, 1)]),
                            {**base_params, "case": "greedy-filled", "p_b": p_b})
         require(cert.bound <= (Fraction(1, 2) - alpha) ** 2,
                 f"greedy-filled half {cert.bound} above (1/2 - alpha)^2")
@@ -102,7 +102,7 @@ def independence_half(g: Graph) -> BoundCertificate:
     if pivot is not None:
         fan = list(_bits(g.adj[pivot] & d_mask))[:need]
         half_mask = b_mask | _mask_of(fan)
-        return certificate(g, "independence", Half.from_mask(n, half_mask),
+        return certificate(g, "independence", Half.from_masks(n, [(half_mask, 1)]),
                            {**base_params, "case": "pivot-fan", "p_b": p_b, "pivot": pivot})
 
     # no pivot reaches the reservoir strongly: weight the rest fractionally
@@ -116,7 +116,7 @@ def independence_half(g: Graph) -> BoundCertificate:
         require(p_f != 0 or numer == 0, "empty remainder with weight left to place")
         p = numer / p_f if p_f else Fraction(0)
         require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
-        mu = _weights(n, [(b_mask | fan_mask, Fraction(1)), (rest_mask, p)])
+        mu = Half.from_masks(n, [(b_mask | fan_mask, 1), (rest_mask, p)])
         cert = certificate(g, "independence", mu,
                            {**base_params, "case": "fractional-rest", "p_b": p_b,
                             "pivot": v0, "p": p})

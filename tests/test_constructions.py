@@ -255,6 +255,6 @@ def test_failed_recipe_search_names_the_closest_candidate():
     # vertices, and none spans 51 edges
     with pytest.raises(RecipeSearchError,
                        match=r"spans 51 edges; closest 4 edges at roots \(0, 1, 6, 7\)$"):
-        gewirtz_recipe_half(NamedGraph("gewirtz", clebsch()))
+        gewirtz_recipe_half(NamedGraph("gewirtz", clebsch(), (16, 5, 0, 2)))
     with pytest.raises(RecipeSearchError, match="9-neighbor pivot; no candidate$"):
-        m22_recipe_half(NamedGraph("m22", empty(2)))
+        m22_recipe_half(NamedGraph("m22", empty(2), (2, 0, 0, 0)))

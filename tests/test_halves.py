@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import halfgraph
 
+from halfgraph import halves
 from halfgraph.graphcore import (
     Graph,
     _bits,
@@ -31,15 +32,21 @@ from halfgraph.halves import (
     Half,
     HalfError,
     ResourceLimitError,
-    _beta_branch_bound,
     _steepest_descent,
     beta_exact,
     beta_of_half,
     certificate,
     local_search_half,
     require,
-    validate_half,
 )
+
+
+def _witness(n, mask, half_vertex=None):
+    """Weight 1 on mask, plus 1/2 on half_vertex when one is given."""
+    pairs = [(mask, 1)]
+    if half_vertex is not None:
+        pairs.append((1 << half_vertex, Fraction(1, 2)))
+    return Half.from_masks(n, pairs)
 
 
 def _beta_scan(g):
@@ -67,7 +74,7 @@ def _beta_scan(g):
             v for v in range(n)
             if not mask >> v & 1 and (adj[v] & mask).bit_count() == target
         )
-    return Fraction(doubled, 2 * n * n), Half.from_mask(n, mask, half_vertex)
+    return Fraction(doubled, 2 * n * n), _witness(n, mask, half_vertex)
 
 
 def _oracle_beta_branch_bound(g, max_nodes):
@@ -124,7 +131,7 @@ def _oracle_beta_branch_bound(g, max_nodes):
             v for v in range(n)
             if not best_mask >> v & 1 and (adj[v] & best_mask).bit_count() == target
         )
-    return Fraction(best_doubled, 2 * n * n), Half.from_mask(n, best_mask, half_vertex)
+    return Fraction(best_doubled, 2 * n * n), _witness(n, best_mask, half_vertex)
 
 
 def _oracle_steepest_descent(adj, n, mask):
@@ -232,10 +239,15 @@ def test_beta_of_half_validation():
         ((Fraction(1, 3),) * 5, "weights sum to 5/3, expected 5/2"),
     ]
     for weights, message in cases:
-        for check in (validate_half, beta_of_half, _oracle_beta_of_half):
+        for check in (beta_of_half, _oracle_beta_of_half):
             with pytest.raises(HalfError) as err:
                 check(cycle(5), Half(weights))
             assert str(err.value) == message
+
+
+def test_overlapping_masks_are_a_half_error():
+    with pytest.raises(HalfError, match="two weight classes"):
+        Half.from_masks(5, [(0b00101, 1), (0b00110, Fraction(1, 2))])
 
 
 @st.composite
@@ -249,7 +261,7 @@ def graphs_with_halves(draw, max_n=14):
         return g, random_valid_half(rng, n)  # up to 27 distinct weights
     mask = sum(1 << v for v in rng.sample(range(n), n // 2))
     half_vertex = rng.choice([v for v in range(n) if not mask >> v & 1]) if n % 2 else None
-    return g, Half.from_mask(n, mask, half_vertex)
+    return g, _witness(n, mask, half_vertex)
 
 
 @settings(max_examples=300, deadline=None)
@@ -343,12 +355,13 @@ def test_branch_bound_matches_scan():
         assert beta_of_half(g, witness) == value
 
 
-def test_beta_exact_budget_errors():
+def test_beta_exact_budget_errors(monkeypatch):
     big = blowup(petersen(), 4)  # 40 vertices
     with pytest.raises(ResourceLimitError):
         beta_exact(big)
-    with pytest.raises(ResourceLimitError):
-        beta_exact(blowup(petersen(), 3), max_nodes=10)
+    monkeypatch.setattr(halves, "MAX_NODES", 10)
+    with pytest.raises(ResourceLimitError, match="exceeded 10 nodes"):
+        beta_exact(blowup(petersen(), 3))
 
 
 @st.composite
@@ -367,7 +380,7 @@ def graphs_with_twins(draw, max_n=14):
 @settings(max_examples=300, deadline=None)
 @given(graphs_with_twins())
 def test_twin_pruned_branch_bound_matches_the_oracle(g):
-    assert _beta_branch_bound(g, 20_000_000) == _oracle_beta_branch_bound(g, 20_000_000)
+    assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
 
 
 def test_twin_pruned_branch_bound_matches_the_oracle_on_small_triangle_free_graphs():
@@ -384,11 +397,13 @@ def test_twin_pruned_branch_bound_matches_the_oracle_on_blowups():
 
 @pytest.mark.parametrize("g, nodes", [(blowup(petersen(), 3), 3_999), (blowup(cycle(5), 5), 1_121)],
                          ids=["petersen x3", "c5 x5"])
-def test_branch_and_bound_node_counts_are_pinned(g, nodes):
+def test_branch_and_bound_node_counts_are_pinned(g, nodes, monkeypatch):
     # a weaker completion bound would visit more nodes with the same value and witness
-    assert beta_exact(g, max_nodes=nodes)[0] == Fraction(1, 50)
+    monkeypatch.setattr(halves, "MAX_NODES", nodes)
+    assert beta_exact(g)[0] == Fraction(1, 50)
+    monkeypatch.setattr(halves, "MAX_NODES", nodes - 1)
     with pytest.raises(ResourceLimitError):
-        beta_exact(g, max_nodes=nodes - 1)
+        beta_exact(g)
 
 
 def test_beta_exact_pinned_witness_of_the_c5_blowup():
@@ -397,9 +412,10 @@ def test_beta_exact_pinned_witness_of_the_c5_blowup():
     assert witness.support() == (*range(9), *range(18, 24))
 
 
-def test_beta_exact_twin_pruning_fits_a_small_budget():
+def test_beta_exact_twin_pruning_fits_a_small_budget(monkeypatch):
     # the search without twin pruning visits 90,893 nodes here
-    value, _ = beta_exact(blowup(cycle(5), 6), max_nodes=5_000)
+    monkeypatch.setattr(halves, "MAX_NODES", 5_000)
+    value, _ = beta_exact(blowup(cycle(5), 6))
     assert value == Fraction(1, 50)
 
 
