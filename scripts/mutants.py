@@ -30,6 +30,8 @@ GRAPHCORE = "halfgraph/graphcore.py"
 GRAPHCORE_TESTS = "tests/test_graphcore.py::"
 HALVES = "halfgraph/halves.py"
 HALVES_TESTS = "tests/test_halves.py::"
+EXACTMATH = "halfgraph/exactmath.py"
+EXACTMATH_TESTS = "tests/test_exactmath.py::"
 
 MUTANTS = [
     (  # prune with any found automorphism, not only those fixing the node's singletons
@@ -92,6 +94,36 @@ MUTANTS = [
         "p < 0 or p > q",
         "p < 0 or p > 2 * q",
         [HALVES_TESTS + "test_beta_of_half_validation"],
+    ),
+    (  # warm start at the descent's value itself: a search that only meets it keeps no mask
+        HALVES,
+        "best_doubled, best_mask = doubled + 1, None",
+        "best_doubled, best_mask = doubled, None",
+        [HALVES_TESTS + "test_warm_started_search_matches_the_cold_oracle"],
+    ),
+    (  # descent: the vertex swapped out raises its neighbours' degrees into the mask
+        HALVES,
+        "deg_in[x] -= 1",
+        "deg_in[x] += 1",
+        [HALVES_TESTS + "test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs"],
+    ),
+    (  # Horner's scheme drops the constant term
+        EXACTMATH,
+        "        if e in coeffs:\n            acc = acc + coeffs[e]",
+        "        if e and e in coeffs:\n            acc = acc + coeffs[e]",
+        [EXACTMATH_TESTS + "test_eval_matches_the_oracle"],
+    ),
+    (  # Taylor shift: each pass stops one coefficient above index k
+        EXACTMATH,
+        "for j in range(d - 1, k - 1, -1):",
+        "for j in range(d - 1, k, -1):",
+        [EXACTMATH_TESTS + "test_taylor_shift_matches_the_binomial_formula"],
+    ),
+    (  # QuadNum times a scalar leaves the sqrt(161) part unscaled
+        EXACTMATH,
+        "return _quad(self.a * other, self.b * other)",
+        "return _quad(self.a * other, self.b)",
+        [EXACTMATH_TESTS + "test_quadnum_scalar_fast_paths_match_the_wrapped_form"],
     ),
 ]
 

@@ -154,10 +154,20 @@ def beta_exact(g: Graph):
     previous twin of order[i] in `order` is already in the mask.  A leaf that
     breaks the rule has a swapped copy that is reached earlier with the same
     value, so the first optimal leaf is never cut and the witness is unchanged;
-    on blow-ups this cuts the nodes (blowup(C5, 6): 90,893 -> 973).
+    on blow-ups this cuts the nodes (blowup(C5, 6): 90,803 -> 906).
     A node is cut when its edges plus the `need` smallest edge gains of the
     vertices left reach the incumbent.  The exclude child has the same mask,
     so it takes its parent's sorted gains less the gain of order[index].
+
+    Warm start: when the incumbent has edges, one steepest descent from it
+    gives a half of doubled value D (with its half-weight cost for odd n).
+    If D is below the incumbent, the search starts with bound D + 1 and no
+    mask.  The witness is unchanged: a node is cut only when its bound is
+    >= D + 1 > opt, and the bound of a node never exceeds the value of a leaf
+    below it, so until the first optimal leaf is reached every node on its
+    path has bound <= opt < best, and that leaf replaces the incumbent as in
+    the cold search.  If the incumbent is already optimal, D is not lower and
+    the search runs as it would cold.
     """
     n, adj = g.n, g.adj
     if n > EXACT_MAX_N:
@@ -182,6 +192,14 @@ def beta_exact(g: Graph):
     if odd:
         best_doubled += _odd_cost(adj, n, mask)[0]
     best_mask = mask
+    if best_doubled:
+        nbrs = [list(_bits(row)) for row in adj]
+        edges, mask = _steepest_descent(adj, nbrs, mask)
+        doubled = 2 * edges
+        if odd:
+            doubled += _odd_cost(adj, n, mask)[0]
+        if doubled < best_doubled:
+            best_doubled, best_mask = doubled + 1, None
 
     nodes = 0
 
@@ -222,12 +240,14 @@ def beta_exact(g: Graph):
 # ---------------------------------------------------------------------------
 
 
-def _steepest_descent(adj, n, mask: int):
+def _steepest_descent(adj, nbrs, mask: int):
     """Swap one in-vertex for one out-vertex while that strictly reduces edges.
 
     Takes the swap with the most negative delta; ties break at the
     lexicographically smallest (in-vertex, out-vertex) pair.  Returns
-    (induced edge count, final mask).
+    (induced edge count, final mask).  `nbrs[v]` lists the neighbours of v
+    (the set bits of adj[v]); after a swap the degrees into the mask are
+    updated by walking the two swapped vertices' lists.
 
     Moving u out of the mask and w into it changes the edges by
     delta = deg_in[w] - deg_in[u] - A(u, w) >= D0 - 1, where
@@ -239,7 +259,8 @@ def _steepest_descent(adj, n, mask: int):
     delta = D0 takes w in W0 | (W1 & adj[u]) for u in U0 and w in W0 & adj[u]
     for u in U1.
     """
-    deg_in = [(adj[v] & mask).bit_count() for v in range(n)]
+    n = len(adj)
+    deg_in = [(row & mask).bit_count() for row in adj]
     inside = [mask >> v & 1 for v in range(n)]
     outside = [1 - f for f in inside]
     edges = sum(compress(deg_in, inside)) // 2
@@ -281,9 +302,9 @@ def _steepest_descent(adj, n, mask: int):
         inside[u] = outside[w] = 0
         inside[w] = outside[u] = 1
         edges += delta
-        for x in _bits(adj[u]):
+        for x in nbrs[u]:
             deg_in[x] -= 1
-        for x in _bits(adj[w]):
+        for x in nbrs[w]:
             deg_in[x] += 1
 
 
@@ -298,11 +319,12 @@ def local_search_half(g: Graph, seed: int = 1, restarts: int = 20) -> BoundCerti
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     half_size = g.n // 2
+    nbrs = [list(_bits(row)) for row in g.adj]
     best = None
     for r in range(restarts):
         rng = random.Random(f"{seed}:{r}")
         mask = _mask_of(rng.sample(range(g.n), half_size))
-        edges, final_mask = _steepest_descent(g.adj, g.n, mask)
+        edges, final_mask = _steepest_descent(g.adj, nbrs, mask)
         if best is None or edges < best[0]:
             best = (edges, final_mask, r)
         if edges == 0:

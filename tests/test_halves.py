@@ -395,7 +395,51 @@ def test_twin_pruned_branch_bound_matches_the_oracle_on_blowups():
         assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
 
 
-@pytest.mark.parametrize("g, nodes", [(blowup(petersen(), 3), 3_999), (blowup(cycle(5), 5), 1_121)],
+def _random_triangle_free(rng, n, edges):
+    """Shuffled vertex pairs added while they close no triangle, up to `edges` edges."""
+    rows = [0] * n
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    added = 0
+    for u, v in pairs:
+        if added == edges:
+            break
+        if not rows[u] & rows[v]:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            added += 1
+    return Graph(n, rows)
+
+
+def _descent_undercuts_the_incumbent(g):
+    """Whether the descent from the lowest-degree half beats it, so beta_exact starts warm."""
+    n, adj = g.n, g.adj
+
+    def doubled(mask):
+        extra = 0
+        if n % 2:
+            extra = min((adj[v] & mask).bit_count() for v in range(n) if not mask >> v & 1)
+        return 2 * _subset_edges(adj, mask) + extra
+
+    start = sum(1 << v for v in sorted(range(n), key=lambda u: adj[u].bit_count())[:n // 2])
+    _, found = _steepest_descent(adj, [list(_bits(row)) for row in adj], start)
+    return doubled(found) < doubled(start)
+
+
+def test_warm_started_search_matches_the_cold_oracle():
+    rng = random.Random(61)
+    warm_parities = set()
+    for n in range(17, 27):
+        for _ in range(3):
+            g = _random_triangle_free(rng, n, rng.randint(n, 3 * n))
+            assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
+            if _descent_undercuts_the_incumbent(g):
+                warm_parities.add(n % 2)
+    # the warm path must run on odd and even n, or the comparison above tests only the cold one
+    assert warm_parities == {0, 1}
+
+
+@pytest.mark.parametrize("g, nodes", [(blowup(petersen(), 3), 3_999), (blowup(cycle(5), 5), 1_069)],
                          ids=["petersen x3", "c5 x5"])
 def test_branch_and_bound_node_counts_are_pinned(g, nodes, monkeypatch):
     # a weaker completion bound would visit more nodes with the same value and witness
@@ -413,7 +457,7 @@ def test_beta_exact_pinned_witness_of_the_c5_blowup():
 
 
 def test_beta_exact_twin_pruning_fits_a_small_budget(monkeypatch):
-    # the search without twin pruning visits 90,893 nodes here
+    # the search without twin pruning visits 90,803 nodes here
     monkeypatch.setattr(halves, "MAX_NODES", 5_000)
     value, _ = beta_exact(blowup(cycle(5), 6))
     assert value == Fraction(1, 50)
@@ -453,17 +497,19 @@ def even_graphs_and_starts(draw, max_n=40):
 @given(even_graphs_and_starts())
 def test_steepest_descent_matches_the_all_pairs_oracle(case):
     g, mask = case
-    assert _steepest_descent(g.adj, g.n, mask) == _oracle_steepest_descent(g.adj, g.n, mask)
+    nbrs = [list(_bits(row)) for row in g.adj]
+    assert _steepest_descent(g.adj, nbrs, mask) == _oracle_steepest_descent(g.adj, g.n, mask)
 
 
 def test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs():
     rng = random.Random(53)
     for name in ("petersen", "clebsch", "hoffman_singleton"):
         g = named(name).graph
+        nbrs = [list(_bits(row)) for row in g.adj]
         for _ in range(10):
             mask = sum(1 << v for v in rng.sample(range(g.n), g.n // 2))
             expected = _oracle_steepest_descent(g.adj, g.n, mask)
-            assert _steepest_descent(g.adj, g.n, mask) == expected
+            assert _steepest_descent(g.adj, nbrs, mask) == expected
 
 
 # seed -> (mask of the 175-edge half, restart that found it)
