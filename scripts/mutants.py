@@ -7,8 +7,10 @@ An entry is (file under src/, exact old text, replacement, test ids). For
 each entry, `src` and `tests` are copied to a temporary directory, the old
 text must occur exactly once in the copy, and the replacement is applied
 there; the named tests then run with `pytest -x` against the copy. A mutant
-whose tests pass survives. The script prints one killed/survived line per
-entry and exits 1 if any survived. Standard library only.
+whose tests pass survives; one whose tests run longer than TIMEOUT_S is
+stopped and counted as killed, since a mutant that makes the code loop
+would otherwise hang the gate. The script prints one killed/survived line
+per entry and exits 1 if any survived. Standard library only.
 
 Only mutants that change behaviour belong here. Dropping a pruning rule of
 the enumeration, for instance, only adds duplicate children and keeps every
@@ -32,6 +34,9 @@ HALVES = "halfgraph/halves.py"
 HALVES_TESTS = "tests/test_halves.py::"
 EXACTMATH = "halfgraph/exactmath.py"
 EXACTMATH_TESTS = "tests/test_exactmath.py::"
+SRG = "halfgraph/srg.py"
+SRG_TESTS = "tests/test_srg.py::"
+TIMEOUT_S = 120  # per mutant; each entry's tests take a few seconds
 
 MUTANTS = [
     (  # prune with any found automorphism, not only those fixing the node's singletons
@@ -107,10 +112,16 @@ MUTANTS = [
         "deg_in[x] += 1",
         [HALVES_TESTS + "test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs"],
     ),
-    (  # Horner's scheme drops the constant term
+    (  # Horner's scheme on rational pairs drops the constant term
         EXACTMATH,
-        "        if e in coeffs:\n            acc = acc + coeffs[e]",
-        "        if e and e in coeffs:\n            acc = acc + coeffs[e]",
+        "        if e in coeffs:\n            n, d = coeffs[e]",
+        "        if e and e in coeffs:\n            n, d = coeffs[e]",
+        [EXACTMATH_TESTS + "test_eval_matches_the_oracle"],
+    ),
+    (  # Horner's scheme on rational pairs multiplies by x's numerator only
+        EXACTMATH,
+        "        den *= q\n",
+        "",
         [EXACTMATH_TESTS + "test_eval_matches_the_oracle"],
     ),
     (  # Taylor shift: each pass stops one coefficient above index k
@@ -125,11 +136,23 @@ MUTANTS = [
         "return _quad(self.a * other, self.b)",
         [EXACTMATH_TESTS + "test_quadnum_scalar_fast_paths_match_the_wrapped_form"],
     ),
+    (  # order n without the 1 of n = 1 + (k/c)(k-1+c)
+        SRG,
+        "Fraction(c + k * (k - 1 + c), c)",
+        "Fraction(k * (k - 1 + c), c)",
+        [SRG_TESTS + "test_srg_from_qc_examples"],
+    ),
+    (  # density n/k instead of k/n
+        SRG,
+        "Fraction(p.k * p.n.denominator, p.n.numerator)",
+        "Fraction(p.n.numerator, p.k * p.n.denominator)",
+        [SRG_TESTS + "test_rho_qc_known_values"],
+    ),
 ]
 
 
-def run_mutant(file: str, old: str, new: str, tests: list[str]) -> bool:
-    """True when the named tests fail on the mutated copy (the mutant is killed)."""
+def run_mutant(file: str, old: str, new: str, tests: list[str]) -> str:
+    """'killed', 'killed (timeout)' or 'SURVIVED': how the named tests end on the mutated copy."""
     with tempfile.TemporaryDirectory(prefix="halfgraph-mutant-") as tmp:
         work = Path(tmp)
         shutil.copytree(ROOT / "src", work / "src",
@@ -148,22 +171,25 @@ def run_mutant(file: str, old: str, new: str, tests: list[str]) -> bool:
             cwd=work, env=env, capture_output=True, text=True, check=True).stdout
         if not Path(imported.strip()).is_relative_to(work):
             raise SystemExit(f"the tests would import halfgraph from {imported.strip()}")
-        result = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-            cwd=work, env=env, capture_output=True, text=True)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed (timeout)"
         if result.returncode not in (0, 1):
             raise SystemExit(f"pytest could not run the tests (exit {result.returncode}):\n"
                              f"{result.stdout}{result.stderr}")
-        return result.returncode == 1
+        return "killed" if result.returncode == 1 else "SURVIVED"
 
 
 def main() -> int:
     survivors = 0
     for file, old, new, tests in MUTANTS:
         start = time.perf_counter()
-        killed = run_mutant(file, old, new, tests)
-        survivors += not killed
-        print(f"{'killed  ' if killed else 'SURVIVED'} {file}: {old!r} -> {new!r} "
+        outcome = run_mutant(file, old, new, tests)
+        survivors += outcome == "SURVIVED"
+        print(f"{outcome:<8} {file}: {old!r} -> {new!r} "
               f"({time.perf_counter() - start:.1f} s)", flush=True)
     print(f"{len(MUTANTS) - survivors}/{len(MUTANTS)} mutants killed")
     return 1 if survivors else 0

@@ -361,11 +361,12 @@ class Polynomial(_Exact):
 
         Horner's scheme in one variable at a time: the terms are grouped by
         that variable's exponent and each group's coefficient is evaluated on
-        the remaining variables.  QuadNum-valued variables come first, so the
-        inner sums stay in Fraction and only the outer loops multiply by a
-        QuadNum.  The result is a QuadNum exactly when some term has a nonzero
-        exponent on a QuadNum-valued variable, and a Fraction otherwise (the
-        zero polynomial gives Fraction(0)).
+        the remaining variables.  QuadNum-valued variables come first, so only
+        the outer loops multiply by a QuadNum.  Below them every rational
+        sub-sum runs on unreduced (numerator, denominator) int pairs and is
+        normalised once, as one Fraction.  The result is a QuadNum exactly
+        when some term has a nonzero exponent on a QuadNum-valued variable,
+        and a Fraction otherwise (the zero polynomial gives Fraction(0)).
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -376,6 +377,7 @@ class Polynomial(_Exact):
             return self.terms[()]
         values = [point[v] for v in self.variables]
         order = sorted(range(len(values)), key=lambda i: not isinstance(values[i], QuadNum))
+        values = [x if isinstance(x, QuadNum) else x.as_integer_ratio() for x in values]
         return _horner(list(self.terms.items()), order, values)
 
     def subs(self, var: str, replacement) -> "Polynomial":
@@ -466,9 +468,16 @@ def _horner(terms: list, order: list, values: list):
 
     Horner's scheme in the variable at position order[0]; the coefficient of
     each of its powers is the same sum over order[1:].  The exponent vectors
-    are distinct, so under the last variable each power has one term.
+    are distinct, so under the last variable each power has one term.  A
+    QuadNum value is used as it is; a rational one is given as its
+    (numerator, denominator) pair, and QuadNum values precede rational ones
+    in `order`.  The first rational variable hands the rest of the sum to
+    `_horner_pairs` and reduces its result once.
     """
     head, rest = order[0], order[1:]
+    x = values[head]
+    if not isinstance(x, QuadNum):
+        return Fraction(*_horner_pairs(terms, order, values))
     if rest:
         groups: dict = {}
         for term in terms:
@@ -478,12 +487,39 @@ def _horner(terms: list, order: list, values: list):
         coeffs = {exps[head]: coeff for exps, coeff in terms}
     top = max(coeffs)
     acc = coeffs[top]
-    x = values[head]
     for e in range(top - 1, -1, -1):
         acc = acc * x
         if e in coeffs:
             acc = acc + coeffs[e]
     return acc
+
+
+def _horner_pairs(terms: list, order: list, values: list) -> tuple:
+    """`_horner` over rational values only, as an unreduced (num, den) pair, den > 0.
+
+    With x = p/q, each step takes num/den to (num*p)/(den*q) and adds a
+    coefficient n/d as (num*d + n*den)/(den*d); no gcd is taken, so the
+    denominator is a product of the q's and d's met on the way.
+    """
+    head, rest = order[0], order[1:]
+    if rest:
+        groups: dict = {}
+        for term in terms:
+            groups.setdefault(term[0][head], []).append(term)
+        coeffs = {e: _horner_pairs(group, rest, values) for e, group in groups.items()}
+    else:
+        coeffs = {exps[head]: coeff.as_integer_ratio() for exps, coeff in terms}
+    top = max(coeffs)
+    num, den = coeffs[top]
+    p, q = values[head]
+    for e in range(top - 1, -1, -1):
+        num *= p
+        den *= q
+        if e in coeffs:
+            n, d = coeffs[e]
+            num = num * d + n * den
+            den *= d
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +603,15 @@ class RationalFunc(_Exact):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def sparse_estimate() -> RationalFunc:
     """Closed-form bound f(rho, delta, e2) produced by combining three halves.
 
     Valid for triangle-free graphs with 0 <= rho, e2 <= delta <= 1/4; rho is
     the edge density, delta the maximum relative degree, e2 the largest
-    relative degree inside the chosen vertex's neighborhood.
+    relative degree inside the chosen vertex's neighborhood.  Built once per
+    process; every caller shares the one RationalFunc, which no operation
+    mutates.
     """
     rho, delta, e2 = Polynomial.variables_named("rho", "delta", "e2")
     num = (1 - 2 * e2) * (

@@ -30,13 +30,16 @@ class SrgParams:
 
 
 def srg_from_qc(q: int, c: int) -> SrgParams:
-    """Derived TFSR parameters; ValueError outside 1 <= c <= q(q+1)."""
+    """Derived TFSR parameters; ValueError outside 1 <= c <= q(q+1).
+
+    n = 1 + (k/c)(k-1+c) is built as the single Fraction (c + k(k-1+c))/c.
+    """
     if q < 1:
         raise ValueError("q must be a positive integer")
     if not 1 <= c <= q * (q + 1):
         raise ValueError(f"c = {c} outside the admissible range [1, {q * (q + 1)}]")
     k = (q + 1) * c + q * q
-    n = 1 + Fraction(k, c) * (k - 1 + c)
+    n = Fraction(c + k * (k - 1 + c), c)
     return SrgParams(q=q, c=c, k=k, n=n)
 
 
@@ -52,10 +55,12 @@ def rho_qc(q: int, c: int) -> Fraction:
     """Edge density k/n of the TFSR parameters (q, c).
 
     Equal to the closed form Q(q, c) on every cell; the report row
-    `srg.closed_forms` proves that identity once, symbolically.
+    `srg.closed_forms` proves that identity once, symbolically.  n is a
+    reduced Fraction and k a positive int, so k/n is built as the single
+    Fraction k*den(n) / num(n).
     """
     p = srg_from_qc(q, c)
-    return p.k / p.n
+    return Fraction(p.k * p.n.denominator, p.n.numerator)
 
 
 def krein_rho(q: int) -> Fraction:

@@ -286,6 +286,18 @@ def _q2_c5_excluded(_seed):
     )
 
 
+def _q2_c3_multiplicities(_seed):
+    # Eigenvalues r = q and s = -(q + c); the multiplicities of a strongly
+    # regular graph, f = (-k - (n-1)s)/(r-s) and g = (k + (n-1)r)/(r-s), are
+    # integers, so a fractional one excludes the parameters.
+    p = srg.srg_from_qc(2, 3)
+    r, s = p.q, -(p.q + p.c)
+    f = (-p.k - (p.n - 1) * s) / (r - s)
+    g = (p.k + (p.n - 1) * r) / (r - s)
+    return (f"(n, k) = ({p.n}, {p.k}), eigenvalues {r}, {s}: f = {f}, g = {g}",
+            "f or g not an integer (inadmissible)", f.denominator != 1 or g.denominator != 1)
+
+
 def _krein_case(_seed):
     value = srg_beta_bound(3, 12)
     return str(value), "= 11/560 <= 1/50", value == Fraction(11, 560) and value <= FIFTIETH
@@ -466,6 +478,9 @@ SRG_CASES = [
     Check("srg.q2_c3_excluded",
           "q=2, c=3: ruled out by known arithmetic conditions (assumption)",
           lambda _seed: ("assumed", "excluded by literature (not computed)", True)),
+    Check("srg.q2_c3_multiplicities",
+          "q=2, c=3: eigenvalue multiplicities f, g of (66, 13, 0, 3) are not both integers",
+          _q2_c3_multiplicities),
     Check("srg.q2_c5_excluded", "q=2, c=5: order n is not an integer", _q2_c5_excluded),
     Check("srg.q3_c12_krein", "q=3, c=12: beta bound 11/560 <= 1/50", _krein_case),
 ]
@@ -562,7 +577,7 @@ def run(names, seed: int) -> list[IdentityReport]:
 
 
 def srg_case_analysis(local_search_seed: int = 1) -> IdentityReport:
-    """The 15 rows of the decision tree that reduces the TFSR theorem to named graphs."""
+    """The 16 rows of the decision tree that reduces the TFSR theorem to named graphs."""
     return _report("srg-cases", SRG_CASES, local_search_seed)
 
 

@@ -262,20 +262,26 @@ def _oracle_eval(p: Polynomial, point: dict):
 _small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 _scalars = st.one_of(st.integers(-5, 5), _small_fractions,
                      st.builds(QuadNum, _small_fractions, _small_fractions))
+_rationals = st.one_of(st.integers(-5, 5),
+                       st.fractions(min_value=-10, max_value=10, max_denominator=1000))
 
 
 @st.composite
 def _polynomials_and_points(draw):
-    """A polynomial in 1-3 variables, degree <= 4 in each, at a mixed point.
+    """A polynomial in 1-3 variables, degree <= 4 in each, at a mixed or a rational point.
 
     The term map may be empty (the zero polynomial) and one variable may
-    have only zero exponents; values are int, Fraction or QuadNum.
+    have only zero exponents.  Values are int, Fraction or QuadNum; at a
+    rational point (about half the cases) they are ints and Fractions with
+    denominators up to 1000, so the whole sum runs on (numerator,
+    denominator) pairs.
     """
     variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
     idle = draw(st.sampled_from((None,) + variables))
     exps = st.tuples(*(st.just(0) if v == idle else st.integers(0, 4) for v in variables))
     terms = draw(st.dictionaries(exps, _small_fractions, max_size=8))
-    return Polynomial(variables, terms), {v: draw(_scalars) for v in variables}
+    values = draw(st.sampled_from((_scalars, _rationals)))
+    return Polynomial(variables, terms), {v: draw(values) for v in variables}
 
 
 @settings(max_examples=200, deadline=None)

@@ -39,6 +39,32 @@ def test_srg_from_qc_examples():
     assert p.admissible
 
 
+def _oracle_n(q: int, c: int) -> Fraction:
+    """n = 1 + (k/c)(k-1+c), step by step: what the single-Fraction form replaced."""
+    k = (q + 1) * c + q * q
+    return 1 + Fraction(k, c) * (k - 1 + c)
+
+
+def _oracle_rho_qc(q: int, c: int) -> Fraction:
+    """k/n as a Fraction quotient: what the integer form of rho_qc replaced."""
+    return ((q + 1) * c + q * q) / _oracle_n(q, c)
+
+
+# The algebra benchmark's grid: every cell with q <= 14, inadmissible ones included.
+GRID = [(q, c) for q in range(1, 15) for c in range(1, q * (q + 1) + 1)]
+
+
+def test_srg_from_qc_and_rho_qc_match_the_oracles_on_the_grid():
+    assert len(GRID) == 1120
+    for q, c in GRID:
+        p = srg_from_qc(q, c)
+        assert type(p.n) is Fraction and p.n == _oracle_n(q, c), (q, c)
+        value = rho_qc(q, c)
+        assert type(value) is Fraction and value == _oracle_rho_qc(q, c), (q, c)
+    for q in range(1, 15):
+        assert krein_rho(q) == _oracle_rho_qc(q, q * (q + 1)), q
+
+
 def test_srg_from_qc_flags_inadmissible():
     p = srg_from_qc(2, 5)
     assert not p.admissible
@@ -145,3 +171,14 @@ def test_case_analysis_report():
     assert by_id["srg.krein_q4_below_rho0"].computed == "29/196"
     assert by_id["srg.q2_c1_below_rho0"].computed == "7/50"
     assert by_id["srg.q2_c6_higman_sims"].passed
+    assert by_id["srg.q2_c3_multiplicities"].computed == (
+        "(n, k) = (66, 13), eigenvalues 2, -5: f = 312/7, g = 143/7")
+
+
+def test_multiplicities_row_fails_on_integral_multiplicities(monkeypatch):
+    # the Gewirtz parameters (56, 10, 0, 2) exist, and their f = 35, g = 20 are integers
+    gewirtz = SrgParams(q=2, c=2, k=10, n=Fraction(56))
+    monkeypatch.setattr(srg, "srg_from_qc", lambda q, c: gewirtz)
+    row = next(c for c in srg_case_analysis().checks if c.id == "srg.q2_c3_multiplicities")
+    assert not row.passed and row.error is None
+    assert row.computed == "(n, k) = (56, 10), eigenvalues 2, -4: f = 35, g = 20"

@@ -19,8 +19,9 @@ REPORT_ORDER = [
     "srg.closed_forms", "srg.dq_dc_identity", "srg.q_increasing_in_c",
     "srg.krein_density_decreasing", "srg.krein_q4_below_rho0", "srg.q2_c1_below_rho0",
     "srg.q3_c11_below_rho0", "srg.q1_c1_petersen", "srg.q1_c2_clebsch", "srg.q2_c2_gewirtz",
-    "srg.q2_c4_m22", "srg.q2_c6_higman_sims", "srg.q2_c3_excluded", "srg.q2_c5_excluded",
-    "srg.q3_c12_krein", "srg.closed_form_matches_graphs", "srg.beta_bound_identity",
+    "srg.q2_c4_m22", "srg.q2_c6_higman_sims", "srg.q2_c3_excluded", "srg.q2_c3_multiplicities",
+    "srg.q2_c5_excluded", "srg.q3_c12_krein", "srg.closed_form_matches_graphs",
+    "srg.beta_bound_identity",
     "independence.dq_drbd", "independence.q_saturated_is_q1", "independence.dq1_dpb",
     "independence.q1_diagonal", "independence.q_concave_in_rbd", "independence.petersen",
     "independence.random_graphs",
@@ -33,15 +34,15 @@ def test_registry_lists_every_row_once_in_report_order():
                               "girth5"]
     ids = [check.id for checks in SECTIONS.values() for check in checks]
     assert ids == REPORT_ORDER
-    assert len(set(ids)) == len(ids) == 47
+    assert len(set(ids)) == len(ids) == 48
 
 
 def test_wrapped_sub_lists_lead_their_sections():
     # srg_case_analysis, verify_sparse_identities and independence_formula_checks
     # run these sub-lists; their sections splice them in first
     sparse = _sparse_identities(Fraction(1, 100))
-    assert (len(SRG_CASES), len(sparse), len(INDEPENDENCE_IDENTITIES)) == (15, 7, 5)
-    assert SECTIONS["srg"][:15] == SRG_CASES
+    assert (len(SRG_CASES), len(sparse), len(INDEPENDENCE_IDENTITIES)) == (16, 7, 5)
+    assert SECTIONS["srg"][:16] == SRG_CASES
     assert [c.id for c in SECTIONS["sparse"][:7]] == [c.id for c in sparse]
     assert SECTIONS["independence"][:5] == INDEPENDENCE_IDENTITIES
 
