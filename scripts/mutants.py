@@ -112,16 +112,22 @@ MUTANTS = [
         "deg_in[x] += 1",
         [HALVES_TESTS + "test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs"],
     ),
-    (  # Horner's scheme on rational pairs drops the constant term
+    (  # Horner's scheme on (p, r, d) triples drops the constant term
         EXACTMATH,
-        "        if e in coeffs:\n            n, d = coeffs[e]",
-        "        if e and e in coeffs:\n            n, d = coeffs[e]",
+        "        if e in coeffs:\n            cp, cr, cd = coeffs[e]",
+        "        if e and e in coeffs:\n            cp, cr, cd = coeffs[e]",
         [EXACTMATH_TESTS + "test_eval_matches_the_oracle"],
     ),
-    (  # Horner's scheme on rational pairs multiplies by x's numerator only
+    (  # Horner's scheme on (p, r, d) triples multiplies by x's numerator only
         EXACTMATH,
-        "        den *= q\n",
+        "        d *= xd\n",
         "",
+        [EXACTMATH_TESTS + "test_eval_matches_the_oracle"],
+    ),
+    (  # Horner's scheme on (p, r, d) triples drops the 161*r*xr cross term of a product
+        EXACTMATH,
+        "p * xp + _SQ * r * xr",
+        "p * xp",
         [EXACTMATH_TESTS + "test_eval_matches_the_oracle"],
     ),
     (  # Taylor shift: each pass stops one coefficient above index k

@@ -111,7 +111,7 @@ def cmd_beta(args) -> int:
     elif method == "independence":
         cert = independence_half(g)
     elif method == "local-search":
-        cert = local_search_half(g, seed=args.seed, restarts=args.retries)
+        cert = local_search_half(g, seed=args.seed)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown method {method}")
     print(f"bound = {cert.bound}")
@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "local-search", "krivelevich"])
             p.add_argument("--seed", type=int, default=1,
                            help="local-search seed (default 1, used for reproduction)")
-            p.add_argument("--retries", type=int, default=20,
-                           help="local-search restarts (default 20)")
 
     verify = sub.add_parser("verify", help="reproduce the checkable claims")
     vsub = verify.add_subparsers(dest="verify_cmd", required=True)

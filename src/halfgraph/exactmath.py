@@ -100,8 +100,8 @@ class QuadNum(_Exact):
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = _fraction(a)
+        self.b = _fraction(b)
 
     @staticmethod
     def _wrap(value):
@@ -190,14 +190,12 @@ class QuadNum(_Exact):
         return self._cmp(other) >= 0
 
     def __floor__(self) -> int:
-        """Exact floor of (p + r*sqrt(161))/d over the common denominator d.
+        """Exact floor of (p + r*sqrt(161))/d, the value as a `_triple`.
 
         r*sqrt(161) is irrational unless r = 0, so its floor is
         isqrt(161*r^2) for r >= 0 and -isqrt(161*r^2) - 1 for r < 0.
         """
-        d = lcm(self.a.denominator, self.b.denominator)
-        p = self.a.numerator * (d // self.a.denominator)
-        r = self.b.numerator * (d // self.b.denominator)
+        p, r, d = _triple(self)
         root = isqrt(_SQ * r * r)
         return (p + root) // d if r >= 0 else (p - root - 1) // d
 
@@ -218,6 +216,29 @@ def _quad(a: Fraction, b: Fraction) -> QuadNum:
     z.a = a
     z.b = b
     return z
+
+
+def _fraction(value) -> Fraction:
+    """An int or Fraction as a Fraction; TypeError for anything else (a float would be inexact)."""
+    if type(value) is Fraction:
+        return value
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{value!r} is a {type(value).__name__}, not an int or Fraction")
+    return Fraction(value)
+
+
+def _triple(x) -> tuple:
+    """(p, r, d) with x = (p + r*sqrt(161))/d and d > 0, for an int, Fraction or QuadNum x.
+
+    A QuadNum's parts are put over the lcm of their denominators; a rational
+    x has r = 0.
+    """
+    if isinstance(x, QuadNum):
+        a, b = x.a, x.b
+        d = lcm(a.denominator, b.denominator)
+        return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+    p, d = _fraction(x).as_integer_ratio()
+    return p, 0, d
 
 
 #: rho0 = (33 - sqrt(161))/116, the density threshold of the sparse case.
@@ -253,7 +274,8 @@ class Polynomial(_Exact):
         for exps, coeff in terms.items():
             if len(exps) != len(variables):
                 raise ValueError("exponent arity does not match variable arity")
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = _fraction(coeff)
             if coeff:
                 clean[tuple(exps)] = coeff
         self.variables = variables
@@ -262,8 +284,7 @@ class Polynomial(_Exact):
     # -- constructors ------------------------------------------------------
     @classmethod
     def const(cls, value) -> "Polynomial":
-        value = Fraction(value)
-        return cls((), {(): value} if value else {})
+        return cls((), {(): value})
 
     @classmethod
     def var(cls, name: str) -> "Polynomial":
@@ -359,14 +380,13 @@ class Polynomial(_Exact):
     def eval(self, point: dict):
         """Evaluate at a full variable binding; values may be int, Fraction or QuadNum.
 
-        Horner's scheme in one variable at a time: the terms are grouped by
-        that variable's exponent and each group's coefficient is evaluated on
-        the remaining variables.  QuadNum-valued variables come first, so only
-        the outer loops multiply by a QuadNum.  Below them every rational
-        sub-sum runs on unreduced (numerator, denominator) int pairs and is
-        normalised once, as one Fraction.  The result is a QuadNum exactly
-        when some term has a nonzero exponent on a QuadNum-valued variable,
-        and a Fraction otherwise (the zero polynomial gives Fraction(0)).
+        One Horner recursion (`_horner`) serves Q and Q(sqrt(161)): every
+        value enters as an unreduced integer triple (p, r, d), standing for
+        (p + r*sqrt(161))/d, and the sum is reduced once at the end.  The
+        result is a QuadNum exactly when some term has a nonzero exponent on
+        a QuadNum-valued variable, and a Fraction otherwise (the zero
+        polynomial gives Fraction(0)).  A value of any other type, a float
+        included, is a TypeError.
         """
         missing = [v for v in self.variables if v not in point]
         if missing:
@@ -375,10 +395,11 @@ class Polynomial(_Exact):
             return Fraction(0)
         if not self.variables:
             return self.terms[()]
-        values = [point[v] for v in self.variables]
-        order = sorted(range(len(values)), key=lambda i: not isinstance(values[i], QuadNum))
-        values = [x if isinstance(x, QuadNum) else x.as_integer_ratio() for x in values]
-        return _horner(list(self.terms.items()), order, values)
+        p, r, d = _horner(list(self.terms.items()), 0, [_triple(point[v]) for v in self.variables])
+        if any(isinstance(point[v], QuadNum) and any(exps[i] for exps in self.terms)
+               for i, v in enumerate(self.variables)):
+            return _quad(Fraction(p, d), Fraction(r, d))
+        return Fraction(p, d)
 
     def subs(self, var: str, replacement) -> "Polynomial":
         """Substitute `replacement` (polynomial or scalar) for one variable."""
@@ -463,63 +484,34 @@ class Polynomial(_Exact):
         return " + ".join(bits)
 
 
-def _horner(terms: list, order: list, values: list):
-    """Sum of coeff * prod(values[i] ** exps[i]) over (exps, coeff) in `terms`.
+def _horner(terms: list, head: int, values: list) -> tuple:
+    """Sum of coeff * prod(values[i] ** exps[i]) over (exps, coeff) in `terms`, as a triple.
 
-    Horner's scheme in the variable at position order[0]; the coefficient of
-    each of its powers is the same sum over order[1:].  The exponent vectors
-    are distinct, so under the last variable each power has one term.  A
-    QuadNum value is used as it is; a rational one is given as its
-    (numerator, denominator) pair, and QuadNum values precede rational ones
-    in `order`.  The first rational variable hands the rest of the sum to
-    `_horner_pairs` and reduces its result once.
+    Each value, and the result, is an unreduced triple (p, r, d) standing for
+    (p + r*sqrt(161))/d with d > 0 (see `_triple`).  Horner's scheme runs in
+    the variable at position `head`; the coefficient of each of its powers
+    is the same sum over the positions after it.  The exponent vectors are
+    distinct, so under the last variable each power has one term.  No gcd is
+    taken, so d is the product of the denominators met on the way.
     """
-    head, rest = order[0], order[1:]
-    x = values[head]
-    if not isinstance(x, QuadNum):
-        return Fraction(*_horner_pairs(terms, order, values))
-    if rest:
+    if head + 1 < len(values):
         groups: dict = {}
         for term in terms:
             groups.setdefault(term[0][head], []).append(term)
-        coeffs = {e: _horner(group, rest, values) for e, group in groups.items()}
+        coeffs = {e: _horner(group, head + 1, values) for e, group in groups.items()}
     else:
-        coeffs = {exps[head]: coeff for exps, coeff in terms}
+        coeffs = {exps[head]: (c.numerator, 0, c.denominator) for exps, c in terms}
     top = max(coeffs)
-    acc = coeffs[top]
+    p, r, d = coeffs[top]
+    xp, xr, xd = values[head]
     for e in range(top - 1, -1, -1):
-        acc = acc * x
+        p, r = p * xp + _SQ * r * xr, p * xr + r * xp
+        d *= xd
         if e in coeffs:
-            acc = acc + coeffs[e]
-    return acc
-
-
-def _horner_pairs(terms: list, order: list, values: list) -> tuple:
-    """`_horner` over rational values only, as an unreduced (num, den) pair, den > 0.
-
-    With x = p/q, each step takes num/den to (num*p)/(den*q) and adds a
-    coefficient n/d as (num*d + n*den)/(den*d); no gcd is taken, so the
-    denominator is a product of the q's and d's met on the way.
-    """
-    head, rest = order[0], order[1:]
-    if rest:
-        groups: dict = {}
-        for term in terms:
-            groups.setdefault(term[0][head], []).append(term)
-        coeffs = {e: _horner_pairs(group, rest, values) for e, group in groups.items()}
-    else:
-        coeffs = {exps[head]: coeff.as_integer_ratio() for exps, coeff in terms}
-    top = max(coeffs)
-    num, den = coeffs[top]
-    p, q = values[head]
-    for e in range(top - 1, -1, -1):
-        num *= p
-        den *= q
-        if e in coeffs:
-            n, d = coeffs[e]
-            num = num * d + n * den
-            den *= d
-    return num, den
+            cp, cr, cd = coeffs[e]
+            p, r = p * cd + cp * d, r * cd + cr * d
+            d *= cd
+    return p, r, d
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +527,8 @@ class RationalFunc(_Exact):
     def __init__(self, num, den=1):
         self.num = Polynomial._wrap(num)
         self.den = Polynomial._wrap(den)
+        if self.num is None or self.den is None:
+            raise TypeError("a RationalFunc's parts must be Polynomial, int or Fraction")
         if self.den.is_zero():
             raise ZeroDivisionError("zero denominator")
 

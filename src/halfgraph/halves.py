@@ -18,6 +18,7 @@ from .graphcore import Graph, ResourceLimitError, _bits, _induced_edges, _mask_o
 
 EXACT_MAX_N = 36  # beta_exact refuses larger graphs instead of searching
 MAX_NODES = 20_000_000  # beta_exact's search-node budget
+RESTARTS = 20  # local_search_half's random starts
 
 
 class HalfError(ValueError):
@@ -308,20 +309,19 @@ def _steepest_descent(adj, nbrs, mask: int):
             deg_in[x] += 1
 
 
-def local_search_half(g: Graph, seed: int = 1, restarts: int = 20) -> BoundCertificate:
+def local_search_half(g: Graph, seed: int = 1) -> BoundCertificate:
     """Randomly restarted steepest-descent search for a sparse 0-1 half.
 
-    Deterministic for a given (seed, restarts): restart r draws its start
-    from random.Random(f"{seed}:{r}").  Returns the best certificate seen.
+    Deterministic for a given seed: restart r < RESTARTS draws its start
+    from random.Random(f"{seed}:{r}"), and a half with no induced edge ends
+    the search.  Returns the best certificate seen.
     """
     if g.n % 2:
         raise ValueError("local search needs even n; blow the graph up by 2 first")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     half_size = g.n // 2
     nbrs = [list(_bits(row)) for row in g.adj]
     best = None
-    for r in range(restarts):
+    for r in range(RESTARTS):
         rng = random.Random(f"{seed}:{r}")
         mask = _mask_of(rng.sample(range(g.n), half_size))
         edges, final_mask = _steepest_descent(g.adj, nbrs, mask)
@@ -332,7 +332,7 @@ def local_search_half(g: Graph, seed: int = 1, restarts: int = 20) -> BoundCerti
     edges, mask, found_at = best
     half = Half.from_masks(g.n, [(mask, 1)])
     cert = certificate(g, "local-search", half,
-                       {"seed": seed, "restarts": restarts, "found_at_restart": found_at,
+                       {"seed": seed, "restarts": RESTARTS, "found_at_restart": found_at,
                         "induced_edges": edges})
     require(cert.bound == Fraction(edges, g.n**2),
             f"local search: bound {cert.bound} != {edges}/{g.n**2}")

@@ -100,7 +100,7 @@ def test_criterion_05_named_graph_recipe_halves():
 
 
 def test_criterion_06_higman_sims_local_search():
-    cert = local_search_half(named("higman_sims").graph, seed=1, restarts=20)
+    cert = local_search_half(named("higman_sims").graph, seed=1)
     assert cert.params["induced_edges"] <= 199
     assert cert.bound <= FIFTY - Fraction(1, 10**4)
     assert cert.bound == beta_of_half(named("higman_sims").graph, cert.half)

@@ -173,6 +173,23 @@ def test_float_operand_is_a_type_error(value):
         value ** 0.5
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: Polynomial.var("x").eval({"x": 0.1}), id="Polynomial.eval"),
+    pytest.param(lambda: (Polynomial.var("x") * Polynomial.var("y")).eval({"x": RHO0, "y": 0.5}),
+                 id="Polynomial.eval at a QuadNum point"),
+    pytest.param(lambda: QuadNum(0.5, 0.25), id="QuadNum"),
+    pytest.param(lambda: QuadNum(1, 0.25), id="QuadNum sqrt(161) part"),
+    pytest.param(lambda: Polynomial.const(0.1), id="Polynomial.const"),
+    pytest.param(lambda: Polynomial(("x",), {(1,): 0.5}), id="Polynomial coefficient"),
+    pytest.param(lambda: RationalFunc(Polynomial.var("x"), 2).eval({"x": 0.5}),
+                 id="RationalFunc.eval"),
+    pytest.param(lambda: RationalFunc(Polynomial.var("x"), 0.5), id="RationalFunc"),
+])
+def test_float_value_is_a_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 # Decimal display columns, the only places a float may appear: (module, function).
 _FLOAT_DISPLAY = {("cli.py", "cmd_verify"), ("girth5.py", "girth5_csv")}
 
@@ -273,8 +290,8 @@ def _polynomials_and_points(draw):
     The term map may be empty (the zero polynomial) and one variable may
     have only zero exponents.  Values are int, Fraction or QuadNum; at a
     rational point (about half the cases) they are ints and Fractions with
-    denominators up to 1000, so the whole sum runs on (numerator,
-    denominator) pairs.
+    denominators up to 1000, so every (p, r, d) triple of the evaluation has
+    r = 0 and the result is a Fraction.
     """
     variables = ("x", "y", "z")[: draw(st.integers(1, 3))]
     idle = draw(st.sampled_from((None,) + variables))
@@ -289,6 +306,8 @@ def _polynomials_and_points(draw):
 @example(case=(Polynomial(("x",), {}), {"x": RHO0}))
 @example(case=(Polynomial(("x", "y"), {(0, 2): 3, (0, 0): 1}), {"x": RHO0, "y": 2}))
 @example(case=(Polynomial(("x", "y"), {(1, 2): 3, (0, 0): 1}), {"x": 2, "y": RHO0}))
+@example(case=(Polynomial(("x", "y"), {(1, 0): 2, (0, 1): 1}),
+               {"x": QuadNum(3), "y": Fraction(1, 7)}))
 def test_eval_matches_the_oracle(case):
     p, point = case
     got, want = p.eval(point), _oracle_eval(p, point)

@@ -473,12 +473,6 @@ def test_local_search_requires_even_n():
         local_search_half(cycle(5))
 
 
-@pytest.mark.parametrize("restarts", [0, -3])
-def test_local_search_requires_a_restart(restarts):
-    with pytest.raises(ValueError, match="restarts must be >= 1"):
-        local_search_half(cycle(6), restarts=restarts)
-
-
 @st.composite
 def even_graphs_and_starts(draw, max_n=40):
     """A random even-order graph (sometimes a blow-up) and a random balanced start mask."""
@@ -530,20 +524,20 @@ def test_local_search_pinned_higman_sims_halves(seed):
 
 
 def test_local_search_pentagon_blowup_hits_optimum():
-    cert = local_search_half(blowup(cycle(5), 2), seed=1, restarts=5)
+    cert = local_search_half(blowup(cycle(5), 2), seed=1)
     assert cert.bound == Fraction(1, 50)
     assert beta_of_half(blowup(cycle(5), 2), cert.half) == cert.bound
 
 
 def test_local_search_empty_graph_immediate():
-    cert = local_search_half(empty(6), seed=3, restarts=2)
+    cert = local_search_half(empty(6), seed=3)
     assert cert.bound == 0
 
 
 def test_local_search_deterministic_and_below_random_expectation():
     g = blowup(petersen(), 2)
-    a = local_search_half(g, seed=7, restarts=4)
-    b = local_search_half(g, seed=7, restarts=4)
+    a = local_search_half(g, seed=7)
+    b = local_search_half(g, seed=7)
     assert a.bound == b.bound and a.half == b.half
     rho = Fraction(2 * g.edge_count(), g.n**2)
     assert a.bound <= rho / 8 + Fraction(1, 100)
