@@ -36,6 +36,9 @@ EXACTMATH = "halfgraph/exactmath.py"
 EXACTMATH_TESTS = "tests/test_exactmath.py::"
 SRG = "halfgraph/srg.py"
 SRG_TESTS = "tests/test_srg.py::"
+DENSITY = "halfgraph/density.py"
+VERIFY = "halfgraph/verify.py"
+VERIFY_TESTS = "tests/test_verify.py::"
 TIMEOUT_S = 120  # per mutant; each entry's tests take a few seconds
 
 MUTANTS = [
@@ -112,6 +115,18 @@ MUTANTS = [
         "deg_in[x] += 1",
         [HALVES_TESTS + "test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs"],
     ),
+    (  # spectral floor one edge too high: a descent that meets the true floor is refused
+        HALVES,
+        "return max(0, -(-n * (2 * k + d - root) // 16))",
+        "return max(0, 1 - (-n * (2 * k + d - root) // 16))",
+        [HALVES_TESTS + "test_the_floor_stop_keeps_every_certificate"],
+    ),
+    (  # local search stops only at an edgeless half, not at the spectral floor
+        HALVES,
+        "if edges == floor:",
+        "if edges == 0:",
+        [HALVES_TESTS + "test_local_search_stops_at_the_floor"],
+    ),
     (  # Horner's scheme on (p, r, d) triples drops the constant term
         EXACTMATH,
         "        if e in coeffs:\n            cp, cr, cd = coeffs[e]",
@@ -153,6 +168,18 @@ MUTANTS = [
         "Fraction(p.k * p.n.denominator, p.n.numerator)",
         "Fraction(p.n.numerator, p.k * p.n.denominator)",
         [SRG_TESTS + "test_rho_qc_known_values"],
+    ),
+    (  # the general C4 line with 81/255 instead of 81/256: the composition is not 27/1024
+        DENSITY,
+        "Fraction(81, 256)",
+        "Fraction(81, 255)",
+        [VERIFY_TESTS + "test_general_bound_row_is_27_1024"],
+    ),
+    (  # the 2/5 root moved to 3/8: the factorisation of 1/50 - (alpha/2)(1/2 - alpha) fails
+        VERIFY,
+        "root = Fraction(2, 5)",
+        "root = Fraction(3, 8)",
+        [VERIFY_TESTS + "test_two_fifths_row"],
     ),
 ]
 

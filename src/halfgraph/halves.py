@@ -12,8 +12,17 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
+from math import isqrt
 
-from .graphcore import Graph, ResourceLimitError, _bits, _induced_edges, _mask_of
+from .graphcore import (
+    Graph,
+    IntegrityError,
+    ResourceLimitError,
+    _bits,
+    _induced_edges,
+    _mask_of,
+    srg_parameters,
+)
 
 
 EXACT_MAX_N = 36  # beta_exact refuses larger graphs instead of searching
@@ -309,25 +318,49 @@ def _steepest_descent(adj, nbrs, mask: int):
             deg_in[x] += 1
 
 
+def _edge_floor(g: Graph) -> int:
+    """A lower bound on the edges that n/2 vertices of g induce; 0 unless g is an SRG.
+
+    Donath-Hoffman: in a k-regular graph e(S, S') <= (k - lambda_min)|S||S'|/n,
+    so |S| = n/2 induces at least n(k + lambda_min)/8 edges.  The eigenvalues
+    of an SRG (n, k, lambda, mu) other than k are roots of
+    x^2 - (lambda - mu)x - (k - mu), so 2t = d - ceil(sqrt(D)) with
+    d = lambda - mu and D = d^2 + 4(k - mu) puts t at or below lambda_min.
+    """
+    try:
+        n, k, lam, mu = srg_parameters(g)
+    except IntegrityError:
+        return 0
+    d = lam - mu
+    disc = d * d + 4 * (k - mu)
+    root = isqrt(disc)
+    root += root * root < disc
+    return max(0, -(-n * (2 * k + d - root) // 16))
+
+
 def local_search_half(g: Graph, seed: int = 1) -> BoundCertificate:
     """Randomly restarted steepest-descent search for a sparse 0-1 half.
 
     Deterministic for a given seed: restart r < RESTARTS draws its start
-    from random.Random(f"{seed}:{r}"), and a half with no induced edge ends
-    the search.  Returns the best certificate seen.
+    from random.Random(f"{seed}:{r}"), and a half that meets `_edge_floor(g)`
+    ends the search.  No half goes below the floor and the best half is
+    replaced only by a strictly sparser one, so the stop never changes the
+    result.  Returns the best certificate seen.
     """
     if g.n % 2:
         raise ValueError("local search needs even n; blow the graph up by 2 first")
     half_size = g.n // 2
     nbrs = [list(_bits(row)) for row in g.adj]
+    floor = _edge_floor(g)
     best = None
     for r in range(RESTARTS):
         rng = random.Random(f"{seed}:{r}")
         mask = _mask_of(rng.sample(range(g.n), half_size))
         edges, final_mask = _steepest_descent(g.adj, nbrs, mask)
+        require(edges >= floor, f"local search: {edges} induced edges, below the floor {floor}")
         if best is None or edges < best[0]:
             best = (edges, final_mask, r)
-        if edges == 0:
+        if edges == floor:
             break
     edges, mask, found_at = best
     half = Half.from_masks(g.n, [(mask, 1)])

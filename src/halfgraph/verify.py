@@ -114,6 +114,15 @@ def _c4_meets(name: str, line: Callable[[Graph], Fraction]):
     return compute
 
 
+def _general_27_1024(_seed):
+    # beta <= rho/8 - C4/(12 rho) (quad.averaged_split_bound) with C4 at or
+    # above the line c4_lower_general(rho) (quad.general_line), in rho itself
+    r = Polynomial.var("rho")
+    composed = RationalFunc(r, 8) - RationalFunc(c4_lower_general(r), 12 * r)
+    return (repr(composed.as_polynomial()), "27/1024, constant in rho",
+            composed == RationalFunc(Fraction(27, 1024)))
+
+
 # ---------------------------------------------------------------------------
 # sparse
 # ---------------------------------------------------------------------------
@@ -363,6 +372,20 @@ def _q_concave_in_rbd(_seed):
     return repr(coeff), "-3 (over the 16*pb^2 denominator)", coeff == Polynomial.const(-3)
 
 
+def _two_fifths(_seed):
+    # 1/50 - (alpha/2)(1/2 - alpha) = (1/2)(alpha - 2/5)(alpha - 1/10); both
+    # factors are linear, so they are >= 0 on [2/5, 1/2] iff they are at its ends
+    a = Polynomial.var("alpha")
+    root = Fraction(2, 5)
+    factors = (a - root, a - Fraction(1, 10))
+    lhs = FIFTIETH - a / 2 * (Fraction(1, 2) - a)
+    product = factors[0] * factors[1] / 2
+    nonneg = all(f.eval({"alpha": x}) >= 0 for f in factors for x in (root, Fraction(1, 2)))
+    return (f"(1/2)(alpha - {root})(alpha - 1/10) = {product!r}, factors "
+            f"{'>=' if nonneg else 'not >='} 0 on [{root}, 1/2]",
+            f"1/50 - (alpha/2)(1/2 - alpha) = {lhs!r}", lhs == product and nonneg)
+
+
 def _independence_petersen(_seed):
     g = named("petersen").graph
     cert = independence_half(g)
@@ -528,6 +551,9 @@ SECTIONS: dict[str, list[Check]] = {
               "beta <= rho/8 - C4/(12 rho) on all triangle-free graphs, n <= 7",
               _no_violations(7, lambda g: g.edge_count() > 0
                              and beta_exact(g)[0] > krivelevich_bound(g))),
+        Check("quad.general_27_1024",
+              "rho/8 - C4/(12 rho) with C4 >= (3/2)rho^2 - (81/256)rho is 27/1024 "
+              "for every rho > 0", _general_27_1024),
     ],
     "sparse": [
         *_sparse_identities(Fraction(1, 100)),
@@ -551,6 +577,9 @@ SECTIONS: dict[str, list[Check]] = {
     ],
     "independence": [
         *INDEPENDENCE_IDENTITIES,
+        Check("independence.two_fifths",
+              "the guarantee (alpha/2)(1/2 - alpha) is <= 1/50 for 2/5 <= alpha <= 1/2",
+              _two_fifths),
         Check("independence.petersen", "constructive half on Petersen certifies <= 1/50",
               _independence_petersen),
         Check("independence.random_graphs",

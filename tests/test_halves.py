@@ -32,6 +32,7 @@ from halfgraph.halves import (
     Half,
     HalfError,
     ResourceLimitError,
+    _edge_floor,
     _steepest_descent,
     beta_exact,
     beta_of_half,
@@ -521,6 +522,43 @@ def test_local_search_pinned_higman_sims_halves(seed):
     assert _mask(cert.half) == mask
     assert cert.params["induced_edges"] == 175 and cert.bound == Fraction(7, 400)
     assert cert.params["found_at_restart"] == found_at
+
+
+_SRG_NAMES = ("petersen", "clebsch", "hoffman_singleton", "gewirtz", "higman_sims")
+
+
+def test_edge_floor_hand_values():
+    # n(k + lambda_min)/8: Petersen 10*1/8, Clebsch 16*2/8, Hoffman-Singleton
+    # 50*4/8, Gewirtz 56*6/8, Higman-Sims 100*14/8, rounded up
+    floors = [_edge_floor(named(name).graph) for name in _SRG_NAMES]
+    assert floors == [2, 4, 25, 42, 175]
+    k44 = Graph.from_edges(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    # empty(6) is an SRG with k = 0; C6 and the blow-up are regular but not
+    # strongly regular; K4,4 has t = lambda_min = -4 = -k
+    for g in (empty(6), cycle(6), blowup(cycle(5), 2), k44):
+        assert _edge_floor(g) == 0
+
+
+@pytest.mark.parametrize("name", _SRG_NAMES)
+def test_the_floor_stop_keeps_every_certificate(name, monkeypatch):
+    g = named(name).graph
+    stopped = [local_search_half(g, seed=seed).to_dict() for seed in range(1, 6)]
+    monkeypatch.setattr(halves, "_edge_floor", lambda g: 0)
+    assert stopped == [local_search_half(g, seed=seed).to_dict() for seed in range(1, 6)]
+
+
+@pytest.mark.parametrize("seed, descents", [(1, 5), (3, 2)])
+def test_local_search_stops_at_the_floor(seed, descents, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _steepest_descent(*args)
+
+    monkeypatch.setattr(halves, "_steepest_descent", counted)
+    cert = local_search_half(named("higman_sims").graph, seed=seed)
+    assert cert.params["induced_edges"] == 175 and cert.params["restarts"] == 20
+    assert len(calls) == descents
 
 
 def test_local_search_pentagon_blowup_hits_optimum():

@@ -5,13 +5,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import halfgraph
+from halfgraph.density import c4_lower_general
+from halfgraph.girth5 import FIFTIETH
 from halfgraph.verify import INDEPENDENCE_IDENTITIES, SECTIONS, SRG_CASES, _sparse_identities
 
 REPORT_ORDER = [
     "counts.m6", "counts.m8", "counts.flags4",
     "quad.beta_c5", "quad.beta_petersen", "quad.trivial_bound", "quad.general_line",
     "quad.clebsch_tight", "quad.matchingfree_line", "quad.c5_tight",
-    "quad.averaged_split_bound",
+    "quad.averaged_split_bound", "quad.general_27_1024",
     "sparse.q_is_polynomial", "sparse.dq_drho", "sparse.q_degrees",
     "sparse.q_vanishes_at_rho0", "sparse.alpha0_minus_gamma", "sparse.taylor_signs",
     "sparse.case2_boundary", "sparse.maxdeg_petersen", "sparse.maxdeg_combination",
@@ -23,7 +25,8 @@ REPORT_ORDER = [
     "srg.q2_c5_excluded", "srg.q3_c12_krein", "srg.closed_form_matches_graphs",
     "srg.beta_bound_identity",
     "independence.dq_drbd", "independence.q_saturated_is_q1", "independence.dq1_dpb",
-    "independence.q1_diagonal", "independence.q_concave_in_rbd", "independence.petersen",
+    "independence.q1_diagonal", "independence.q_concave_in_rbd", "independence.two_fifths",
+    "independence.petersen",
     "independence.random_graphs",
     "girth5.table_plain", "girth5.table_truncated",
 ]
@@ -34,7 +37,7 @@ def test_registry_lists_every_row_once_in_report_order():
                               "girth5"]
     ids = [check.id for checks in SECTIONS.values() for check in checks]
     assert ids == REPORT_ORDER
-    assert len(set(ids)) == len(ids) == 48
+    assert len(set(ids)) == len(ids) == 50
 
 
 def test_wrapped_sub_lists_lead_their_sections():
@@ -45,6 +48,29 @@ def test_wrapped_sub_lists_lead_their_sections():
     assert SECTIONS["srg"][:16] == SRG_CASES
     assert [c.id for c in SECTIONS["sparse"][:7]] == [c.id for c in sparse]
     assert SECTIONS["independence"][:5] == INDEPENDENCE_IDENTITIES
+
+
+def _row(check_id):
+    check = next(c for checks in SECTIONS.values() for c in checks if c.id == check_id)
+    return check.compute(1)
+
+
+def test_general_bound_row_is_27_1024():
+    assert _row("quad.general_27_1024") == ("(27/1024)", "27/1024, constant in rho", True)
+    # by hand: rho/8 - ((3/2)rho^2 - (81/256)rho)/(12 rho) = 81/3072 at every rho > 0
+    for r in (Fraction(1, 100), Fraction(5, 16), Fraction(2, 5), Fraction(1, 2)):
+        assert r / 8 - c4_lower_general(r) / (12 * r) == Fraction(27, 1024)
+
+
+def test_two_fifths_row():
+    assert _row("independence.two_fifths") == (
+        "(1/2)(alpha - 2/5)(alpha - 1/10) = (1/2)*alpha^2 + (-1/4)*alpha + (1/50), "
+        "factors >= 0 on [2/5, 1/2]",
+        "1/50 - (alpha/2)(1/2 - alpha) = (1/2)*alpha^2 + (-1/4)*alpha + (1/50)", True)
+    # by hand: the guarantee is 3/128 > 1/50 at alpha = 3/8, 1/50 at 2/5 and 0 at 1/2
+    guarantee = lambda alpha: alpha / 2 * (Fraction(1, 2) - alpha)
+    assert guarantee(Fraction(3, 8)) == Fraction(3, 128) > FIFTIETH
+    assert guarantee(Fraction(2, 5)) == FIFTIETH and guarantee(Fraction(1, 2)) == 0
 
 
 def _imports_report(tree: ast.AST) -> bool:
