@@ -39,6 +39,8 @@ SRG_TESTS = "tests/test_srg.py::"
 DENSITY = "halfgraph/density.py"
 VERIFY = "halfgraph/verify.py"
 VERIFY_TESTS = "tests/test_verify.py::"
+REPORT = "halfgraph/report.py"
+CLI_TESTS = "tests/test_cli.py::"
 TIMEOUT_S = 120  # per mutant; each entry's tests take a few seconds
 
 MUTANTS = [
@@ -59,6 +61,12 @@ MUTANTS = [
         "isolated = bytes(range(len(perm), n))",
         "isolated = bytes(range(n - len(perm)))",
         [GRAPHCORE_TESTS + "test_stored_automorphisms_are_automorphisms_of_the_canonical_forms"],
+    ),
+    (  # induced 2-matchings: d may lie below c, so each cd edge comes twice and out of order
+        GRAPHCORE,
+        "adj[c] & rest & ~((2 << c) - 1)",
+        "adj[c] & rest",
+        [GRAPHCORE_TESTS + "test_induced_2matchings_match_the_nested_loop"],
     ),
     (  # leaf key rows built from vertex labels instead of positions
         GRAPHCORE,
@@ -180,6 +188,12 @@ MUTANTS = [
         "root = Fraction(2, 5)",
         "root = Fraction(3, 8)",
         [VERIFY_TESTS + "test_two_fifths_row"],
+    ),
+    (  # every row written as passing: the JSON hides a crashed check
+        REPORT,
+        '"pass": self.passed,',
+        '"pass": True,',
+        [CLI_TESTS + "test_verify_reports_a_crashing_check_as_an_error_row"],
     ),
 ]
 

@@ -102,12 +102,6 @@ def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, Boun
     return certs[0], certs[1]
 
 
-def edge_combined_bound(g: Graph, edge: tuple[int, int]) -> Fraction:
-    """The averaged split bound p1*p2*(rho - rho_{a1a2})/2 for one edge."""
-    split = edge_split(g, edge)
-    return split.p1 * split.p2 * (rho(g) - cross_density(g, split.a1, split.a2)) / 2
-
-
 def krivelevich_bound(g: Graph) -> Fraction:
     """beta(G) <= rho/8 - C4/(12 rho), from averaging the split bound over edges."""
     r = rho(g)

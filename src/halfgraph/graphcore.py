@@ -134,14 +134,15 @@ def _induced_edges(adj, mask: int) -> int:
 def _induced_2matchings(g: Graph):
     """Every (a, b, c, d) with edges ab before cd in g.edges() and no other edge among them.
 
-    ab and cd share no vertex: a lies in N(b) and b in N(a), so the span test
-    already rejects c or d in {a, b}.
+    cd runs over the edges inside `rest`, the vertices above a outside
+    N(a) | N(b), in g.edges() order, so dense graphs stay cheap; rest holds
+    neither a nor b, since a lies in N(b) and b in N(a).
     """
-    edges = g.edges()
-    for i, (a, b) in enumerate(edges):
-        span_ab = g.adj[a] | g.adj[b]
-        for c, d in edges[i + 1 :]:
-            if not (span_ab >> c & 1 or span_ab >> d & 1):
+    adj, full = g.adj, (1 << g.n) - 1
+    for a, b in g.edges():
+        rest = full & ~(adj[a] | adj[b]) & ~((2 << a) - 1)
+        for c in _bits(rest):
+            for d in _bits(adj[c] & rest & ~((2 << c) - 1)):
                 yield a, b, c, d
 
 
@@ -189,26 +190,31 @@ def is_triangle_free(g: Graph) -> bool:
 
 
 def girth(g: Graph):
-    """Length of the shortest cycle; math.inf for forests."""
-    best = inf
+    """Length of the shortest cycle; math.inf for forests.
+
+    A breadth-first search from each vertex, one level mask at a time.  The
+    first edge that is not a tree edge closes the shortest cycle it finds: an
+    edge inside level d closes one of length 2d + 1, and a vertex of level
+    d + 1 with two neighbours in level d one of length 2d + 2.  The least
+    over all starts is the girth.
+    """
+    adj, best = g.adj, inf
     for start in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[start] = 0
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if 2 * dist[u] >= best:
+        seen = level = 1 << start
+        d = 0
+        while level and 2 * d + 1 < best:
+            if any(adj[u] & level for u in _bits(level)):
+                best = 2 * d + 1
                 break
-            for v in _bits(g.adj[u]):
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    best = min(best, dist[u] + dist[v] + 1)
+            nxt = 0
+            for u in _bits(level):
+                nxt |= adj[u]
+            nxt &= ~seen
+            if any((adj[w] & level).bit_count() > 1 for w in _bits(nxt)):
+                best = 2 * d + 2
+                break
+            seen |= nxt
+            level, d = nxt, d + 1
     return best
 
 

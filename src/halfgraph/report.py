@@ -9,27 +9,11 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import time
 import traceback
 from dataclasses import dataclass
-from fractions import Fraction
 
 SCHEMA_VERSION = 1
-
-
-_EXACT_FORM = re.compile(r"^-?\d+(/\d+)?$")
-
-
-def parse_exact(text: str) -> Fraction:
-    """Parse the exact string of a rational value ("3/98", "38", "-1/2").
-
-    Decimal notation is rejected on purpose: every reported value must stay
-    an exact rational string.
-    """
-    if not _EXACT_FORM.match(text.strip()):
-        raise ValueError(f"not an exact rational string: {text!r}")
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -54,18 +38,6 @@ class CheckResult:
         if self.error is not None:
             data["error"] = self.error
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckResult":
-        return cls(
-            id=data["id"],
-            claim=data["claim"],
-            computed=data["computed"],
-            bound=data["bound"],
-            passed=data["pass"],
-            runtime_ms=data["runtime_ms"],
-            error=data.get("error"),
-        )
 
 
 def run_check(check_id: str, claim: str, compute) -> CheckResult:
@@ -102,24 +74,11 @@ class IdentityReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def to_section(self) -> dict:
-        return {"name": self.name, "checks": [c.to_dict() for c in self.checks]}
-
-
-def emit_report(sections: list[IdentityReport]) -> dict:
-    return {"version": SCHEMA_VERSION, "sections": [s.to_section() for s in sections]}
-
-
-def parse_report(data: dict) -> list[IdentityReport]:
-    if data.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report version: {data.get('version')!r}")
-    return [
-        IdentityReport(sec["name"], [CheckResult.from_dict(c) for c in sec["checks"]])
-        for sec in data["sections"]
-    ]
-
 
 def dump_report(sections: list[IdentityReport], path: str) -> None:
+    data = {"version": SCHEMA_VERSION,
+            "sections": [{"name": s.name, "checks": [c.to_dict() for c in s.checks]}
+                         for s in sections]}
     with open(path, "w") as fh:
-        json.dump(emit_report(sections), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -9,7 +9,6 @@ import pytest
 from halfgraph.constructions import (
     RecipeSearchError,
     clebsch_recipe_half,
-    edge_combined_bound,
     edge_halves,
     edge_split,
     gewirtz_recipe_half,
@@ -93,9 +92,16 @@ def test_split_combination_identity_on_small_graphs():
                 assert lhs == rhs
 
 
+def _combined_split_bound(g, edge):
+    """p2*beta(mu1) + p1*beta(mu2) of the edge's two halves: p1*p2*(rho - rho_{a1a2})/2."""
+    s = edge_split(g, edge)
+    c1, c2 = edge_halves(g, edge)
+    return s.p2 * c1.bound + s.p1 * c2.bound
+
+
 def test_clebsch_split_bound_is_27_over_1024_on_every_edge():
     g = named("clebsch").graph
-    bounds = {edge_combined_bound(g, e) for e in g.edges()}
+    bounds = {_combined_split_bound(g, e) for e in g.edges()}
     assert bounds == {Fraction(27, 1024)}
 
 
@@ -110,7 +116,7 @@ def test_krivelevich_values():
     cl = named("clebsch").graph
     value = rho(cl) / 8 - c4_density(cl) / (12 * rho(cl))
     assert krivelevich_bound(cl) == value
-    assert value >= min(edge_combined_bound(cl, e) for e in cl.edges())
+    assert value >= min(_combined_split_bound(cl, e) for e in cl.edges())
 
 
 def test_krivelevich_rejects_edgeless():

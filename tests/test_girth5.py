@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfgraph.exactmath import Polynomial
 from halfgraph.girth5 import (
     FIFTIETH,
     beta_u,
@@ -57,6 +58,13 @@ def test_first_bound_values():
 
 
 def test_first_bound_settles_high_degree():
+    # every k >= 7, n >= 2k + 1 is k = 7 + s, n = 15 + 2s + t with s, t >= 0, where a
+    # polynomial with positive coefficients is positive: the whole domain, not a grid
+    s, t = Polynomial.variables_named("s", "t")
+    k, n = 7 + s, 15 + 2 * s + t
+    margin = n * (4 * k - 25) + 50 * k - 4 * k * k
+    assert margin == 4 * s**2 + 4 * s * t + 60 * s + 3 * t + 199
+    assert all(c > 0 for c in margin.terms.values())
     for k in range(7, 41):
         for n in range(2 * k + 1, 201):
             assert n * (4 * k - 25) + 50 * k - 4 * k * k >= 0

@@ -96,6 +96,7 @@ def test_girth():
     assert girth(path(4)) == inf
     assert girth(cycle(4)) == 4
     assert girth(complete_bipartite(2, 3)) == 4
+    assert girth(complete_bipartite(150, 150)) == 4
 
 
 def test_independence_number_named():
@@ -123,6 +124,7 @@ def test_induced_2matching():
     assert has_induced_2matching(cycle(6))
     assert not has_induced_2matching(path(2))
     assert not has_induced_2matching(complete_bipartite(2, 2))
+    assert not has_induced_2matching(complete_bipartite(150, 150))  # 11,250 edges
     assert has_induced_2matching(Graph.from_edges(4, [(0, 1), (2, 3)]))
 
 
@@ -574,6 +576,30 @@ def test_has_induced_2matching_matches_the_4_subset_scan(g):
 @given(padded_graphs())
 def test_induced_2matchings_match_the_nested_loop(g):
     assert list(graphcore._induced_2matchings(g)) == list(_oracle_induced_2matchings(g))
+
+
+def _oracle_girth(g):
+    """The least 1 + dist(u, v) in G - uv over the edges uv; inf for forests."""
+    best = inf
+    for u, v in g.edges():
+        dist, frontier = {u: 0}, [u]
+        while frontier and v not in dist:
+            grown = []
+            for x in frontier:
+                for y in graphcore._bits(g.adj[x]):
+                    if y not in dist and {x, y} != {u, v}:
+                        dist[y] = dist[x] + 1
+                        grown.append(y)
+            frontier = grown
+        if v in dist:
+            best = min(best, dist[v] + 1)
+    return best
+
+
+@settings(deadline=None)
+@given(st.one_of(graphs(), graphs(triangle_free=True)))
+def test_girth_matches_the_edge_deletion_oracle(g):
+    assert girth(g) == _oracle_girth(g)
 
 
 def test_enumerated_graphs_pass_full_validation():
