@@ -68,6 +68,12 @@ MUTANTS = [
         "adj[c] & rest",
         [GRAPHCORE_TESTS + "test_induced_2matchings_match_the_nested_loop"],
     ),
+    (  # graph6 size field: the digit "~" (63) refused in the 4- and 8-byte forms
+        GRAPHCORE,
+        'if not 63 <= b <= 126:\n            raise Graph6Error("invalid size byte", start)',
+        'if not 63 <= b <= 125:\n            raise Graph6Error("invalid size byte", start)',
+        [GRAPHCORE_TESTS + "test_graph6_size_field_forms"],
+    ),
     (  # leaf key rows built from vertex labels instead of positions
         GRAPHCORE,
         "bit[v] = 1 << i",
@@ -105,6 +111,13 @@ MUTANTS = [
         [HALVES_TESTS
          + "test_twin_pruned_branch_bound_matches_the_oracle_on_small_triangle_free_graphs"],
     ),
+    (  # odd n: the doubled value of a half leaves out its half-weight vertex
+        HALVES,
+        "return 2 * edges + (_odd_cost(adj, n, mask)[0] if odd else 0)",
+        "return 2 * edges",
+        [HALVES_TESTS
+         + "test_twin_pruned_branch_bound_matches_the_oracle_on_small_triangle_free_graphs"],
+    ),
     (  # weights up to 2 accepted
         HALVES,
         "p < 0 or p > q",
@@ -113,8 +126,8 @@ MUTANTS = [
     ),
     (  # warm start at the descent's value itself: a search that only meets it keeps no mask
         HALVES,
-        "best_doubled, best_mask = doubled + 1, None",
-        "best_doubled, best_mask = doubled, None",
+        "best_doubled, best_mask = value + 1, None",
+        "best_doubled, best_mask = value, None",
         [HALVES_TESTS + "test_warm_started_search_matches_the_cold_oracle"],
     ),
     (  # descent: the vertex swapped out raises its neighbours' degrees into the mask
@@ -164,6 +177,12 @@ MUTANTS = [
         "return _quad(self.a * other, self.b * other)",
         "return _quad(self.a * other, self.b)",
         [EXACTMATH_TESTS + "test_quadnum_scalar_fast_paths_match_the_wrapped_form"],
+    ),
+    (  # QuadNum sign with mixed-sign parts: a^2 and 161*b^2 compared the wrong way round
+        EXACTMATH,
+        "self.a * self.a > _SQ * self.b * self.b",
+        "self.a * self.a < _SQ * self.b * self.b",
+        [EXACTMATH_TESTS + "test_quadnum_sign_matches_the_oracle"],
     ),
     (  # order n without the 1 of n = 1 + (k/c)(k-1+c)
         SRG,

@@ -27,7 +27,7 @@ from .graphcore import (
     _mask_of,
     is_triangle_free,
 )
-from .halves import BoundCertificate, Half, beta_of_half, certificate, require
+from .halves import BoundCertificate, Half, _odd_cost, beta_of_half, certificate, require
 
 
 class RecipeSearchError(Exception):
@@ -281,8 +281,9 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
     """Three-root neighborhood union with |A|=38, |E(A)|=109, plus half a vertex.
 
     Roots are an edge (u1, u2) and a third vertex u3 outside both
-    neighborhoods; the half adds weight 1/2 at a vertex with exactly 9
-    neighbors in A, certifying (109 + 9/2)/77^2 < 0.0192.
+    neighborhoods; the half adds weight 1/2 at the vertex beta_exact would
+    pick (`_odd_cost`), which must have 9 neighbors in A, certifying
+    (109 + 9/2)/77^2 < 0.0192.
     """
     g = _expect_named(ng, "m22")
     full = (1 << g.n) - 1
@@ -300,18 +301,13 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
                 best = (induced, (u1, u2, u3))
             if induced != 109:
                 continue
-            for v in range(g.n):
-                if mask >> v & 1:
-                    continue
-                if (g.adj[v] & mask).bit_count() == 9:
-                    half = Half.from_masks(g.n, [(mask, 1), (1 << v, Fraction(1, 2))])
-                    cert = certificate(
-                        g, "m22-recipe", half,
-                        {"roots": (u1, u2, u3), "pivot": v,
-                         "set_size": size, "induced_edges": induced},
-                    )
-                    require(cert.bound == Fraction(2 * induced + 9, 2 * g.n**2),
-                            f"m22 recipe: bound {cert.bound} != "
-                            f"{2 * induced + 9}/{2 * g.n**2}")
-                    return cert
+            cost, v = _odd_cost(g.adj, g.n, mask)
+            if cost == 9:
+                half = Half.from_masks(g.n, [(mask, 1), (1 << v, Fraction(1, 2))])
+                cert = certificate(g, "m22-recipe", half,
+                                   {"roots": (u1, u2, u3), "pivot": v,
+                                    "set_size": size, "induced_edges": induced})
+                require(cert.bound == Fraction(2 * induced + 9, 2 * g.n**2),
+                        f"m22 recipe: bound {cert.bound} != {2 * induced + 9}/{2 * g.n**2}")
+                return cert
     raise _search_failed("no root triple reached |E(A)| = 109 with a 9-neighbor pivot", best)

@@ -153,17 +153,10 @@ class QuadNum(_Exact):
     def sign(self) -> int:
         sa = (self.a > 0) - (self.a < 0)
         sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb if sa == 0 else sa
-        # a and b have opposite signs: the sign follows the larger of
-        # a^2 and 161*b^2 (161 is not a square, so ties need b = 0).
-        lhs = self.a * self.a
-        rhs = _SQ * self.b * self.b
-        if lhs == rhs:
-            return 0
-        return sa if lhs > rhs else sb
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: a^2 != 161*b^2, as 161 = 7*23 is not a rational square
+        return sa if self.a * self.a > _SQ * self.b * self.b else sb
 
     def __eq__(self, other):
         o = self._wrap(other)
@@ -342,11 +335,7 @@ class Polynomial(_Exact):
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(key, Fraction(0)) + c1 * c2
-                if acc:
-                    out[key] = acc
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c1 * c2
         return Polynomial(variables, out)
 
     def __truediv__(self, other):

@@ -91,7 +91,9 @@ def beta_u(k: int, n: int, u: int, truncated_inner: bool = False) -> Fraction | 
     set (with a half-vertex saving for odd n); the default form subtracts
     |C| from R(3, u) with plain subtraction inside the min, and
     `truncated_inner` switches to the truncated reading of that same
-    quantity (the driver must certify under both).
+    quantity (the driver must certify under both).  The readings agree: they
+    differ only when R(3, u) - |C| < 0, where the plain inner term is negative
+    and the truncated one 0, and max(0, inner - (n mod 2)/2) sends both to 0.
     """
     u_star = (n - 2 * k + 1) // 2  # ceil(n/2 - k)
     if not 0 <= u <= u_star or u > 5 or ramsey3(u) > n - k - 1:

@@ -70,8 +70,6 @@ class Graph:
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows)
@@ -293,30 +291,23 @@ _G6_HEADER = ">>graph6<<"
 
 
 def _g6_decode_n(data: bytes):
-    """Return (n, offset past the size field)."""
+    """(n, offset past the size field): one byte, "~" plus 3 base-64 digits, or "~~" plus 6."""
     if not data:
         raise Graph6Error("empty graph6 input", 0)
     c0 = data[0]
-    if c0 == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise Graph6Error("truncated 8-byte size field", len(data))
-            vals = [b - 63 for b in data[2:8]]
-            if any(v < 0 or v > 63 for v in vals):
-                raise Graph6Error("invalid size byte", 2)
-            n = 0
-            for v in vals:
-                n = n << 6 | v
-            return n, 8
-        if len(data) < 4:
-            raise Graph6Error("truncated 4-byte size field", len(data))
-        vals = [b - 63 for b in data[1:4]]
-        if any(v < 0 or v > 63 for v in vals):
-            raise Graph6Error("invalid size byte", 1)
-        return vals[0] << 12 | vals[1] << 6 | vals[2], 4
-    if not 63 <= c0 <= 125:
-        raise Graph6Error(f"invalid size byte {c0}", 0)
-    return c0 - 63, 1
+    if c0 != 126:
+        if not 63 <= c0 <= 125:
+            raise Graph6Error(f"invalid size byte {c0}", 0)
+        return c0 - 63, 1
+    start, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+    if len(data) < end:
+        raise Graph6Error(f"truncated {end}-byte size field", len(data))
+    n = 0
+    for b in data[start:end]:
+        if not 63 <= b <= 126:
+            raise Graph6Error("invalid size byte", start)
+        n = n << 6 | b - 63
+    return n, end
 
 
 def load_graph6(data) -> Graph:
@@ -759,8 +750,9 @@ class NamedGraph:
     expected_srg: tuple[int, int, int, int]
 
 
+@lru_cache(maxsize=None)
 def srg_parameters(g: Graph) -> tuple[int, int, int, int]:
-    """(n, k, lambda, mu) of a strongly regular graph; IntegrityError otherwise."""
+    """(n, k, lambda, mu) of a strongly regular graph, memoized; IntegrityError otherwise."""
     degrees = {g.degree(v) for v in range(g.n)}
     if len(degrees) != 1:
         raise IntegrityError(f"not regular: degrees {sorted(degrees)}")

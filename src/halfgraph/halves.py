@@ -196,20 +196,18 @@ def beta_exact(g: Graph):
         twin_bit.append(last_seen.get(adj[v], 0))
         last_seen[adj[v]] = 1 << v
 
+    def doubled(edges: int, mask: int) -> int:
+        """2 * n^2 * beta of the half on mask, with its half-weight vertex for odd n."""
+        return 2 * edges + (_odd_cost(adj, n, mask)[0] if odd else 0)
+
     # incumbent: the half made of the lowest-degree vertices
-    mask = _mask_of(sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size])
-    best_doubled = 2 * _induced_edges(adj, mask)
-    if odd:
-        best_doubled += _odd_cost(adj, n, mask)[0]
-    best_mask = mask
+    best_mask = _mask_of(sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size])
+    best_doubled = doubled(_induced_edges(adj, best_mask), best_mask)
     if best_doubled:
         nbrs = [list(_bits(row)) for row in adj]
-        edges, mask = _steepest_descent(adj, nbrs, mask)
-        doubled = 2 * edges
-        if odd:
-            doubled += _odd_cost(adj, n, mask)[0]
-        if doubled < best_doubled:
-            best_doubled, best_mask = doubled + 1, None
+        value = doubled(*_steepest_descent(adj, nbrs, best_mask))
+        if value < best_doubled:
+            best_doubled, best_mask = value + 1, None
 
     nodes = 0
 
@@ -220,11 +218,9 @@ def beta_exact(g: Graph):
             raise ResourceLimitError(f"branch-and-bound exceeded {max_nodes} nodes")
         need = half_size - size
         if need == 0:
-            doubled = 2 * edges
-            if odd:
-                doubled += _odd_cost(adj, n, mask)[0]
-            if doubled < best_doubled:
-                best_doubled, best_mask = doubled, mask
+            value = doubled(edges, mask)
+            if value < best_doubled:
+                best_doubled, best_mask = value, mask
             return
         if n - index < need:
             return

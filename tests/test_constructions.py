@@ -28,7 +28,7 @@ from halfgraph.graphcore import (
     enumerate_triangle_free,
     named,
 )
-from halfgraph.halves import beta_exact, beta_of_half
+from halfgraph.halves import _odd_cost, beta_exact, beta_of_half
 
 
 def eligible_edges(g):
@@ -239,6 +239,10 @@ def test_m22_recipe():
     assert cert.params["induced_edges"] == 109
     assert cert.bound == Fraction(227, 11858)  # (109 + 9/2)/77^2
     assert cert.bound < Fraction(192, 10000)
+    # the half-weight vertex is the one beta_exact's rule picks for the set
+    g = named("m22").graph
+    mask = sum(1 << v for v, w in enumerate(cert.half.weights) if w == 1)
+    assert _odd_cost(g.adj, g.n, mask) == (9, 6) and cert.params["pivot"] == 6
 
 
 def test_recipe_certificates_are_pinned():

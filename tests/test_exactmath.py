@@ -101,6 +101,14 @@ def test_quadnum_floor_brackets_the_value(a, b):
     assert m <= z < m + 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(st.just(Fraction(0)), _rationals), b=st.one_of(st.just(Fraction(0)), _rationals))
+def test_quadnum_sign_matches_the_oracle(a, b):
+    # x -> x|x| is increasing, so a + b*sqrt(161) > 0 iff a|a| > -161*b|b|
+    oracle = a * abs(a) + 161 * b * abs(b)
+    assert QuadNum(a, b).sign() == (oracle > 0) - (oracle < 0)
+
+
 @pytest.mark.parametrize("fast, wrapped", [
     pytest.param(lambda z, f: z * f, lambda z, f: z * QuadNum(f), id="QuadNum * Fraction"),
     pytest.param(lambda z, f: f * z, lambda z, f: QuadNum(f) * z, id="Fraction * QuadNum"),
@@ -247,6 +255,8 @@ def test_polynomial_stores_no_zero_coefficients():
     p = Polynomial(("x",), {(1,): Fraction(1), (2,): Fraction(0)})
     assert (2,) not in p.terms
     assert (Polynomial.var("x") - Polynomial.var("x")).is_zero()
+    x, y = Polynomial.variables_named("x", "y")
+    assert ((x + y) * (x - y)).terms == {(2, 0): 1, (0, 2): -1}  # the xy terms cancel
 
 
 def test_derive_power_rule():

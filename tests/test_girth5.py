@@ -101,6 +101,19 @@ def test_beta_u_hand_values():
     assert beta_u(2, 5, 1, truncated_inner=True) == Fraction(1, 50)
 
 
+def test_the_two_subtraction_readings_coincide():
+    cells = [(k, n, u) for k in range(2, 6) for n in range(n_window(k)[0], n_window(k)[1] + 1)
+             for u in range(6) if beta_u(k, n, u) is not None]
+    assert len(cells) == 439
+    for cell in cells:
+        assert beta_u(*cell) == beta_u(*cell, truncated_inner=True), cell
+    # outside the window R(3, u) - |C| can be negative at u = u_star: the plain
+    # inner term is then negative, the truncated one 0, and both bounds are 0
+    assert ramsey3(1) - (4 - 1 - 1) < 0
+    assert beta_u(1, 4, 1) == beta_u(1, 4, 1, truncated_inner=True) == 0
+    assert girth5_report(True) == girth5_report(False)
+
+
 def test_beta_u_inadmissible_is_none():
     assert beta_u(2, 11, 4) is None  # R(3,4) = 9 > n - k - 1 = 8
     assert beta_u(2, 5, 2) is None  # above ceil(n/2 - k)

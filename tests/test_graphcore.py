@@ -36,6 +36,7 @@ from halfgraph.graphcore import (
     petersen,
     save_graph6,
     srg_parameters,
+    _g6_decode_n,
 )
 
 
@@ -63,6 +64,8 @@ def test_graph_validation():
         Graph(2, [0b10, 0b00])  # asymmetric
     with pytest.raises(ValueError):
         Graph(1, [0b1])  # loop
+    with pytest.raises(ValueError, match="loop at vertex 2"):
+        Graph.from_edges(3, [(2, 2)])
     with pytest.raises(ValueError):
         Graph(0, [])
 
@@ -717,6 +720,26 @@ def test_graph6_header_and_errors():
     assert err.value.offset == 2
 
 
+def _size_digits(n, count):
+    return bytes(63 + (n >> 6 * i & 63) for i in reversed(range(count)))
+
+
+def test_graph6_size_field_forms():
+    assert _g6_decode_n(b"~" + _size_digits(70, 3)) == (70, 4)
+    assert _g6_decode_n(b"~" + _size_digits(258047, 3)) == (258047, 4)
+    assert _g6_decode_n(b"~~" + _size_digits(258048, 6)) == (258048, 8)
+    assert _g6_decode_n(b"~~~~~~~~") == (2**36 - 1, 8)  # every digit "~" = 63
+    for data, message, offset in [
+        (b"~??", "truncated 4-byte size field", 3),
+        (b"~~?????", "truncated 8-byte size field", 7),
+        # a bad digit is reported at the first digit of its field
+        (b"~?>?", "invalid size byte", 1),  # ">" = 62 is below the digit range
+        (b"~~???\x7f??", "invalid size byte", 2),
+    ]:
+        with pytest.raises(Graph6Error, match=f"^{message} \\(byte offset {offset}\\)$"):
+            _g6_decode_n(data)
+
+
 # ---------------------------------------------------------------------------
 # Named graphs
 # ---------------------------------------------------------------------------
@@ -756,6 +779,17 @@ def test_srg_parameters_rejects_non_srg():
         srg_parameters(path(4))  # not regular
     with pytest.raises(IntegrityError):
         srg_parameters(cycle(6))  # regular but mu not constant
+
+
+def test_srg_parameters_is_memoized_but_a_failure_is_not():
+    g = named("gewirtz").graph
+    srg_parameters(g)
+    hits = srg_parameters.cache_info().hits
+    assert srg_parameters(g) == (56, 10, 0, 2)
+    assert srg_parameters.cache_info().hits == hits + 1
+    for _ in range(2):
+        with pytest.raises(IntegrityError):
+            srg_parameters(cycle(6))
 
 
 def test_mu_validation_is_exhaustive():
