@@ -32,6 +32,8 @@ GRAPHCORE = "halfgraph/graphcore.py"
 GRAPHCORE_TESTS = "tests/test_graphcore.py::"
 HALVES = "halfgraph/halves.py"
 HALVES_TESTS = "tests/test_halves.py::"
+CONSTRUCTIONS = "halfgraph/constructions.py"
+CONSTRUCTIONS_TESTS = "tests/test_constructions.py::"
 EXACTMATH = "halfgraph/exactmath.py"
 EXACTMATH_TESTS = "tests/test_exactmath.py::"
 SRG = "halfgraph/srg.py"
@@ -147,6 +149,30 @@ MUTANTS = [
         "if edges == floor:",
         "if edges == 0:",
         [HALVES_TESTS + "test_local_search_stops_at_the_floor"],
+    ),
+    (  # local search certifies a recount of its final mask, not the descent's own count
+        HALVES,
+        'return _mask_certificate(g, "local-search", mask, edges,',
+        'return _mask_certificate(g, "local-search", mask, _induced_edges(g.adj, mask),',
+        [HALVES_TESTS + "test_local_search_checks_the_descent_count_against_a_recount"],
+    ),
+    (  # a mask certificate expects 2 * edges / (2n^2), leaving out the pivot's cost
+        HALVES,
+        "Fraction(2 * edges + cost, 2 * n * n)",
+        "Fraction(2 * edges, 2 * n * n)",
+        [CONSTRUCTIONS_TESTS + "test_m22_recipe"],
+    ),
+    (  # the neighborhood union keeps its roots
+        CONSTRUCTIONS,
+        "        mask &= ~_mask_of(roots)\n",
+        "",
+        [CONSTRUCTIONS_TESTS + "test_recipe_certificates_are_pinned"],
+    ),
+    (  # the three-half bound lists the two edge halves in reverse
+        CONSTRUCTIONS,
+        "c1, c2 = edge_halves(g, (v1, v2))",
+        "c2, c1 = edge_halves(g, (v1, v2))",
+        [CONSTRUCTIONS_TESTS + "test_triple_certificates_are_pinned"],
     ),
     (  # Horner's scheme on (p, r, d) triples drops the constant term
         EXACTMATH,

@@ -27,7 +27,15 @@ from .graphcore import (
     _mask_of,
     is_triangle_free,
 )
-from .halves import BoundCertificate, Half, _odd_cost, beta_of_half, certificate, require
+from .halves import (
+    BoundCertificate,
+    Half,
+    _mask_certificate,
+    _odd_cost,
+    beta_of_half,
+    certificate,
+    require,
+)
 
 
 class RecipeSearchError(Exception):
@@ -172,46 +180,32 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
     """Best of the three halves around the heaviest edge, with the analytic value.
 
     Picks v1 of maximum degree, v2 of maximum degree inside N(v1) (ties to
-    the lowest index), builds mu0/mu1/mu2, checks their closed
-    forms, and returns the best actual half; params carry the analytic
-    estimate f(rho, Delta, e2) which must dominate the best half.
+    the lowest index).  mu1 and mu2 are `edge_halves(g, (v1, v2))`; mu0 takes
+    both neighborhoods, and its closed form is checked here.  params carry the
+    analytic estimate f(rho, Delta, e2), which must dominate the best half.
     """
-    n = g.n
     if not is_triangle_free(g):
         raise ValueError("construction requires a triangle-free graph")
     if g.edge_count() == 0:
         raise ValueError("graph has no edges")
     v1, delta, _, _ = _max_degree_split(g)
     if delta > Fraction(1, 4):
-        raise ValueError(
-            f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case"
-        )
+        raise ValueError(f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case")
     v2 = min(_bits(g.adj[v1]), key=lambda u: (-g.degree(u), u))
+    c1, c2 = edge_halves(g, (v1, v2))
     split = edge_split(g, (v1, v2))
-    rho_a1a2 = cross_density(g, split.a1, split.a2)
-    rho_a1b = cross_density(g, split.a1, split.b)
-    rho_a2b = cross_density(g, split.a2, split.b)
-    rho_b = part_density(g, split.b)
-
+    both = split.a1 | split.a2
     p0 = (Fraction(1, 2) - split.e1 - split.e2) / (1 - split.e1 - split.e2)
-    mu0 = Half.from_masks(n, [(split.a1, 1), (split.a2, 1), (split.b, p0)])
-    mu1 = Half.from_masks(n, [(split.a1, 1), (split.b, split.p1)])
-    mu2 = Half.from_masks(n, [(split.a2, 1), (split.b, split.p2)])
-
-    values = [beta_of_half(g, mu) for mu in (mu0, mu1, mu2)]
-    closed_forms = [
-        (rho_a1a2 + p0 * (rho_a1b + rho_a2b) + 2 * p0**2 * rho_b) / 2,
-        (split.p1 * rho_a1b + 2 * split.p1**2 * rho_b) / 2,
-        (split.p2 * rho_a2b + 2 * split.p2**2 * rho_b) / 2,
-    ]
-    require(values == closed_forms,
-            f"triple: halves {values} != closed forms {closed_forms}")
+    mu0 = Half.from_masks(g.n, [(both, 1), (split.b, p0)])
+    values = [beta_of_half(g, mu0), c1.bound, c2.bound]
+    closed_form = (cross_density(g, split.a1, split.a2) + p0 * cross_density(g, both, split.b)
+                   + 2 * p0**2 * part_density(g, split.b)) / 2
+    require(values[0] == closed_form, f"triple: mu0 {values[0]} != closed form {closed_form}")
 
     analytic = sparse_estimate().eval({"rho": rho(g), "delta": delta, "e2": split.e2})
     require(analytic >= min(values), f"triple: analytic {analytic} below every half {values}")
     best_idx = min(range(3), key=lambda i: (values[i], i))
-    best = (mu0, mu1, mu2)[best_idx]
-    return certificate(g, "triple", best, {
+    return certificate(g, "triple", (mu0, c1.half, c2.half)[best_idx], {
         "v1": v1, "v2": v2, "delta": delta, "e2": split.e2, "p0": p0,
         "analytic_bound": analytic, "chosen": f"mu{best_idx}",
     })
@@ -228,53 +222,46 @@ def _expect_named(ng: NamedGraph, name: str) -> Graph:
     return ng.graph
 
 
+def _union_recipe(g: Graph, method: str, candidates, edges: int, cost, params) -> BoundCertificate:
+    """The first root tuple whose neighborhood union spans `edges` edges.
+
+    The union of N(r) over the roots, minus the roots, must have n//2
+    vertices.  Unless `cost` is None, `_odd_cost`'s vertex must also have
+    `cost` neighbors in it.  `params(roots)` gives the certificate's params.
+    """
+    best = None
+    for roots in candidates:
+        mask = 0
+        for r in roots:
+            mask |= g.adj[r]
+        mask &= ~_mask_of(roots)
+        size = mask.bit_count()
+        if size != g.n // 2:
+            raise RecipeSearchError(f"neighborhood union has {size} vertices, wanted {g.n // 2}")
+        induced = _induced_edges(g.adj, mask)
+        if best is None or abs(induced - edges) < abs(best[0] - edges):
+            best = (induced, roots)
+        if induced == edges and (cost is None or _odd_cost(g.adj, g.n, mask)[0] == cost):
+            return _mask_certificate(g, method, mask, induced, params(roots))
+    pivot = "" if cost is None else f" with a {cost}-neighbor pivot"
+    raise _search_failed(f"{method}: no root tuple spans {edges} edges{pivot}", best)
+
+
 def clebsch_recipe_half(ng: NamedGraph) -> BoundCertificate:
     """Union of the first edge's endpoint neighborhoods, minus the endpoints.
 
-    Disjoint neighborhoods force exactly 8 = n/2 vertices; the certificate
-    records the induced edge count (4 on every edge, so beta <= 1/50).
+    Disjoint neighborhoods force exactly 8 = n/2 vertices, which span 4 edges
+    on every edge, so beta <= 1/64 <= 1/50.
     """
     g = _expect_named(ng, "clebsch")
-    u, v = g.edges()[0]
-    mask = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
-    if mask.bit_count() != g.n // 2:
-        raise RecipeSearchError(f"neighborhood union has {mask.bit_count()} vertices, wanted 8")
-    induced = _induced_edges(g.adj, mask)
-    cert = certificate(g, "clebsch-recipe", Half.from_masks(g.n, [(mask, 1)]),
-                       {"edge": (u, v), "induced_edges": induced})
-    require(cert.bound == Fraction(induced, g.n**2),
-            f"clebsch recipe: bound {cert.bound} != {induced}/{g.n**2}")
-    return cert
+    return _union_recipe(g, "clebsch-recipe", g.edges()[:1], 4, None, lambda r: {"edge": r})
 
 
 def gewirtz_recipe_half(ng: NamedGraph) -> BoundCertificate:
-    """First induced 2-matching whose neighborhood union spans exactly 51 edges.
-
-    The union of the four neighborhoods minus the four roots always has 28 =
-    n/2 vertices; root tuples are scanned in index order until the stated
-    edge count appears.
-    """
+    """First induced 2-matching whose neighborhood union (28 = n/2 vertices) spans 51 edges."""
     g = _expect_named(ng, "gewirtz")
-    target_edges = 51
-    best = None
-    for roots in _induced_2matchings(g):
-        a, b, c, d = roots
-        mask = (g.adj[a] | g.adj[b] | g.adj[c] | g.adj[d]) & ~_mask_of(roots)
-        size = mask.bit_count()
-        if size != g.n // 2:
-            raise RecipeSearchError(
-                f"union of neighborhoods has {size} vertices, wanted {g.n // 2}"
-            )
-        induced = _induced_edges(g.adj, mask)
-        if best is None or abs(induced - target_edges) < abs(best[0] - target_edges):
-            best = (induced, roots)
-        if induced == target_edges:
-            cert = certificate(g, "gewirtz-recipe", Half.from_masks(g.n, [(mask, 1)]),
-                               {"roots": roots, "induced_edges": induced})
-            require(cert.bound == Fraction(induced, g.n**2),
-                    f"gewirtz recipe: bound {cert.bound} != {induced}/{g.n**2}")
-            return cert
-    raise _search_failed(f"no induced 2-matching spans {target_edges} edges", best)
+    return _union_recipe(g, "gewirtz-recipe", _induced_2matchings(g), 51, None,
+                         lambda r: {"roots": r})
 
 
 def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
@@ -286,28 +273,7 @@ def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
     (109 + 9/2)/77^2 < 0.0192.
     """
     g = _expect_named(ng, "m22")
-    full = (1 << g.n) - 1
-    best = None
-    for u1, u2 in g.edges():
-        both = g.adj[u1] | g.adj[u2]
-        outside = full & ~both & ~(1 << u1) & ~(1 << u2)
-        for u3 in _bits(outside):
-            mask = (both | g.adj[u3]) & ~((1 << u1) | (1 << u2) | (1 << u3))
-            size = mask.bit_count()
-            if size != 38:
-                raise RecipeSearchError(f"|A| = {size}, expected 38")
-            induced = _induced_edges(g.adj, mask)
-            if best is None or abs(induced - 109) < abs(best[0] - 109):
-                best = (induced, (u1, u2, u3))
-            if induced != 109:
-                continue
-            cost, v = _odd_cost(g.adj, g.n, mask)
-            if cost == 9:
-                half = Half.from_masks(g.n, [(mask, 1), (1 << v, Fraction(1, 2))])
-                cert = certificate(g, "m22-recipe", half,
-                                   {"roots": (u1, u2, u3), "pivot": v,
-                                    "set_size": size, "induced_edges": induced})
-                require(cert.bound == Fraction(2 * induced + 9, 2 * g.n**2),
-                        f"m22 recipe: bound {cert.bound} != {2 * induced + 9}/{2 * g.n**2}")
-                return cert
-    raise _search_failed("no root triple reached |E(A)| = 109 with a 9-neighbor pivot", best)
+    triples = ((u1, u2, u3) for u1, u2 in g.edges() for u3 in range(g.n)
+               if not (g.adj[u1] | g.adj[u2] | 1 << u1 | 1 << u2) >> u3 & 1)
+    return _union_recipe(g, "m22-recipe", triples, 109, 9,
+                         lambda r: {"roots": r, "set_size": g.n // 2})

@@ -136,6 +136,25 @@ def certificate(g: Graph, method: str, half: Half, params: dict | None = None) -
                             params=dict(params or {}))
 
 
+def _mask_certificate(g: Graph, method: str, mask: int, edges: int, params) -> BoundCertificate:
+    """The half with weight 1 on the n//2-set mask, certified against the caller's count.
+
+    For odd n the half also puts 1/2 on `_odd_cost`'s vertex, recorded as
+    `pivot`.  `edges` is the caller's own count of the edges mask induces;
+    the recomputed bound must equal (2 * edges + the pivot's cost) / (2n^2).
+    """
+    n = g.n
+    pairs, cost, params = [(mask, 1)], 0, {**params, "induced_edges": edges}
+    if n % 2:
+        cost, pivot = _odd_cost(g.adj, n, mask)
+        pairs.append((1 << pivot, Fraction(1, 2)))
+        params["pivot"] = pivot
+    cert = certificate(g, method, Half.from_masks(n, pairs), params)
+    expected = Fraction(2 * edges + cost, 2 * n * n)
+    require(cert.bound == expected, f"{method}: bound {cert.bound} != {expected}")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # Exact minimum over halves
 # ---------------------------------------------------------------------------
@@ -359,10 +378,5 @@ def local_search_half(g: Graph, seed: int = 1) -> BoundCertificate:
         if edges == floor:
             break
     edges, mask, found_at = best
-    half = Half.from_masks(g.n, [(mask, 1)])
-    cert = certificate(g, "local-search", half,
-                       {"seed": seed, "restarts": RESTARTS, "found_at_restart": found_at,
-                        "induced_edges": edges})
-    require(cert.bound == Fraction(edges, g.n**2),
-            f"local search: bound {cert.bound} != {edges}/{g.n**2}")
-    return cert
+    return _mask_certificate(g, "local-search", mask, edges,
+                             {"seed": seed, "restarts": RESTARTS, "found_at_restart": found_at})

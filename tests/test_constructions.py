@@ -27,6 +27,7 @@ from halfgraph.graphcore import (
     empty,
     enumerate_triangle_free,
     named,
+    petersen,
 )
 from halfgraph.halves import _odd_cost, beta_exact, beta_of_half
 
@@ -61,6 +62,12 @@ def test_edge_split_errors():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ValueError):
         edge_split(star, (0, 1))  # e1 + e2 = 1: degenerate
+    triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError, match="common neighborhood not empty"):
+        edge_split(triangle, (0, 1))
+    slack_star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])  # e1 = 3/5, e1 + e2 = 4/5
+    with pytest.raises(ValueError, match="relative degree above 1/2"):
+        edge_split(slack_star, (0, 1))
 
 
 def test_edge_halves_petersen():
@@ -171,6 +178,9 @@ def test_triple_case_split_errors():
         triple_half_bound(cycle(6))  # Delta = 1/3 > 1/4
     with pytest.raises(ValueError):
         triple_half_bound(empty(4))
+    one_triangle = Graph.from_edges(12, [(0, 1), (1, 2), (0, 2)])  # Delta = 1/6
+    with pytest.raises(ValueError, match="requires a triangle-free graph"):
+        triple_half_bound(one_triangle)
 
 
 def test_triple_bound_on_long_cycle():
@@ -185,6 +195,17 @@ def test_triple_bound_on_perfect_matching():
     cert = triple_half_bound(g)
     assert cert.bound == beta_of_half(g, cert.half)
     assert cert.params["analytic_bound"] >= cert.bound
+
+
+def test_triple_certificates_are_pinned():
+    # every low-degree class with 2 <= n <= 8 and C8 ... C39: mu1 wins 73 times, mu2 3 times
+    graphs = [g for n in range(2, 9) for g in enumerate_triangle_free(n)
+              if g.edge_count() and 4 * g.max_degree() <= g.n]
+    certs = [triple_half_bound(g) for g in graphs + [cycle(n) for n in range(8, 40)]]
+    chosen = [c.params["chosen"] for c in certs]
+    assert (len(certs), chosen.count("mu1"), chosen.count("mu2")) == (76, 73, 3)
+    blob = "\n".join(json.dumps(c.to_dict(), sort_keys=True) for c in certs).encode()
+    assert hashlib.sha256(blob).hexdigest().startswith("8da0226870d6dbd0")
 
 
 def test_triple_bound_on_all_low_degree_small_graphs():
@@ -220,9 +241,21 @@ def test_clebsch_recipe_all_edges_equal():
     assert counts == {clebsch_recipe_half(named("clebsch")).params["induced_edges"]}
 
 
-def test_clebsch_recipe_rejects_other_graphs():
-    with pytest.raises(ValueError):
-        clebsch_recipe_half(named("petersen"))
+RECIPES = [clebsch_recipe_half, gewirtz_recipe_half, m22_recipe_half]
+
+
+@pytest.mark.parametrize("recipe", RECIPES, ids=lambda f: f.__name__)
+def test_recipes_reject_other_graphs(recipe):
+    with pytest.raises(ValueError, match="graph only$"):
+        recipe(named("petersen"))
+
+
+@pytest.mark.parametrize("recipe", RECIPES[:2], ids=lambda f: f.__name__)
+def test_recipe_size_error_wants_half_the_order(recipe):
+    # on Petersen (10, 3, 0, 1) the first union has 4 vertices, not n // 2 = 5
+    name = recipe.__name__.removesuffix("_recipe_half")
+    with pytest.raises(RecipeSearchError, match="has 4 vertices, wanted 5$"):
+        recipe(NamedGraph(name, petersen(), (10, 3, 0, 1)))
 
 
 def test_gewirtz_recipe():

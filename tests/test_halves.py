@@ -567,6 +567,17 @@ def test_local_search_pentagon_blowup_hits_optimum():
     assert beta_of_half(blowup(cycle(5), 2), cert.half) == cert.bound
 
 
+def test_local_search_checks_the_descent_count_against_a_recount(monkeypatch):
+    # blowup(C5, 2) is not strongly regular, so its floor is 0 and no restart stops early
+    def one_edge_too_many(*args):
+        edges, mask = _steepest_descent(*args)
+        return edges + 1, mask
+
+    monkeypatch.setattr(halves, "_steepest_descent", one_edge_too_many)
+    with pytest.raises(CertificateError, match=r"bound 1/50 != 3/100$"):
+        local_search_half(blowup(cycle(5), 2), seed=1)
+
+
 def test_local_search_empty_graph_immediate():
     cert = local_search_half(empty(6), seed=3)
     assert cert.bound == 0
