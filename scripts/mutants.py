@@ -76,6 +76,19 @@ MUTANTS = [
         'if not 63 <= b <= 125:\n            raise Graph6Error("invalid size byte", start)',
         [GRAPHCORE_TESTS + "test_graph6_size_field_forms"],
     ),
+    (  # alpha search branches on the first vertex of maximum degree, not the last
+        GRAPHCORE,
+        "if d >= top_deg:",
+        "if d > top_deg:",
+        [GRAPHCORE_TESTS
+         + "test_independence_number_matches_the_oracle_on_seeded_and_named_graphs"],
+    ),
+    (  # alpha's matching bound leaves the matched partner free to match again
+        GRAPHCORE,
+        "                m ^= nb & -nb\n",
+        "",
+        [GRAPHCORE_TESTS + "test_independence_number_matches_the_oracle"],
+    ),
     (  # leaf key rows built from vertex labels instead of positions
         GRAPHCORE,
         "bit[v] = 1 << i",

@@ -4,8 +4,9 @@ All numeric output is exact ("195/4096"); the human-readable check table
 adds a decimal convenience column.  `verify paper` runs the sections of
 `halfgraph.verify`, shows a check that raised as an ERROR row, exits 0 iff
 every check passes and can dump the machine-readable JSON report.  Bad
-input (a missing file, a malformed or too-large graph, a violated
-precondition) prints one `error: ...` line on stderr and exits 1.
+input (a missing file, a file with several records, a malformed or
+too-large graph, a violated precondition) prints one `error: ...` line on
+stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def _load_target(args) -> Graph:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"no graph6 record in {args.file}")
+    if len(lines) > 1:
+        raise ValueError(f"{args.file} holds {len(lines)} graph6 records; expected one")
     return load_graph6(lines[0])
 
 

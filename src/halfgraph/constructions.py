@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .density import c4_density, cross_density, part_density, rho
 from .exactmath import sparse_estimate
@@ -68,7 +69,9 @@ class EdgeSplit:
     p2: Fraction
 
 
+@lru_cache(maxsize=None)
 def edge_split(g: Graph, edge: tuple[int, int]) -> EdgeSplit:
+    """The split of g by `edge`, memoized per (graph, edge) tuple."""
     v1, v2 = edge
     if not g.has_edge(v1, v2):
         raise ValueError(f"({v1}, {v2}) is not an edge")

@@ -8,6 +8,7 @@ edges) contribute to the 4-cycle density.  All values are exact Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .graphcore import Graph, _bits, _induced_edges
 
@@ -22,8 +23,13 @@ def max_degree_rel(g: Graph) -> Fraction:
     return Fraction(g.max_degree(), g.n)
 
 
+@lru_cache(maxsize=None)
 def c4_density(g: Graph) -> Fraction:
     """Probability that four independently sampled vertices induce a 4-cycle.
+
+    The value is memoized per graph (a `Graph` is immutable and hashes by its
+    rows), so the checks that revisit the small-graph corpus count each graph's
+    4-cycles once per process.
 
     Counted per labeled cycle structure: a tuple (v1, v2, v3, v4) realizes the
     cycle 1-2-3-4-1 iff the four cycle pairs are edges and both diagonals are

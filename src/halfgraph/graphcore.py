@@ -222,37 +222,29 @@ def has_induced_2matching(g: Graph) -> bool:
 
 
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum independent set size plus one witness, by branch-and-bound."""
+    """Exact maximum independent set size plus one witness, by branch-and-bound.
+
+    Every mask is walked lowest vertex first with `low = m & -m`.
+    """
     n, adj = g.n, g.adj
     closed = [adj[v] | (1 << v) for v in range(n)]
 
-    # greedy start: repeatedly take a minimum-degree vertex
+    # greedy start: repeatedly take the lowest vertex of least degree
     mask = (1 << n) - 1
     greedy = 0
     while mask:
-        v = min(_bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        least, m = n, mask
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            d = (adj[u] & mask).bit_count()
+            if d < least:
+                least, v = d, u
         greedy |= 1 << v
         mask &= ~closed[v]
     best_size = greedy.bit_count()
     best_set = greedy
-
-    def matching_bound(cand: int) -> int:
-        # alpha(P) <= |P| - (size of any matching inside P)
-        matched = 0
-        used = 0
-        m = cand
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            if used >> v & 1:
-                continue
-            nb = adj[v] & cand & ~used & ~low
-            if nb:
-                w = (nb & -nb).bit_length() - 1
-                used |= (1 << v) | (1 << w)
-                matched += 1
-        return cand.bit_count() - matched
 
     def expand(cand: int, chosen: int, size: int):
         nonlocal best_size, best_set
@@ -260,20 +252,40 @@ def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
             if size > best_size:
                 best_size, best_set = size, chosen
             return
-        if size + matching_bound(cand) <= best_size:
+        # alpha(P) <= |P| - (size of a greedy matching inside P); m keeps the
+        # unmatched vertices above the current one
+        count = cand.bit_count()
+        bound = count
+        m = cand
+        while m:
+            low = m & -m
+            m ^= low
+            nb = adj[low.bit_length() - 1] & m
+            if nb:
+                m ^= nb & -nb
+                bound -= 1
+        if size + bound <= best_size:
             return
-        degs = [((adj[v] & cand).bit_count(), v) for v in _bits(cand)]
-        top_deg, v = max(degs)
+        # branch on the last vertex of maximum degree inside P
+        top_deg, total, m = -1, 0, cand
+        while m:
+            low = m & -m
+            m ^= low
+            u = low.bit_length() - 1
+            d = (adj[u] & cand).bit_count()
+            total += d
+            if d >= top_deg:
+                top_deg, v = d, u
         if top_deg <= 1:
             # paths of length one and isolated vertices: take |P| - #edges
-            extra = cand.bit_count() - sum(d for d, _ in degs) // 2
+            extra = count - total // 2
             if size + extra > best_size:
                 pick = 0
                 m = cand
-                for d, u in sorted(degs, key=lambda t: t[1]):
-                    if m >> u & 1:
-                        pick |= 1 << u
-                        m &= ~closed[u]
+                while m:
+                    low = m & -m
+                    pick |= low
+                    m &= ~closed[low.bit_length() - 1]
                 best_size, best_set = size + extra, chosen | pick
             return
         expand(cand & ~closed[v], chosen | (1 << v), size + 1)

@@ -24,13 +24,18 @@ def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -
     accepted, until the set reaches `target` vertices or no vertex qualifies.
     Returns the grown mask.
     """
+    adj, full = g.adj, (1 << g.n) - 1
     mask = start_mask
     while mask.bit_count() < target:
-        accepted = next((v for v in range(g.n) if not mask >> v & 1
-                         and (g.adj[v] & mask).bit_count() <= spill_cap), None)
-        if accepted is None:
+        outside = full & ~mask
+        while outside:
+            low = outside & -outside
+            if (adj[low.bit_length() - 1] & mask).bit_count() <= spill_cap:
+                break
+            outside ^= low
+        if not outside:
             break
-        mask |= 1 << accepted
+        mask |= low
     return mask
 
 

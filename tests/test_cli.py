@@ -168,9 +168,12 @@ def test_verify_girth5_with_table(tmp_path, capsys):
     (["beta", "exact", "--named", "gewirtz"], "n=56 exceeds"),
     (["beta", "bound", "--method", "edge", "--file", "{tmp}/edgeless.g6"],
      "graph has no edges"),
+    (["beta", "exact", "--file", "{tmp}/two.g6"],
+     "two.g6 holds 2 graph6 records; expected one"),
 ])
 def test_bad_input_is_an_error_line_not_a_traceback(argv, message, tmp_path, capsys):
     (tmp_path / "edgeless.g6").write_text("A?\n")
+    (tmp_path / "two.g6").write_text("A_\nDQc\n")
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == 1
     captured = capsys.readouterr()

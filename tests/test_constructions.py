@@ -197,6 +197,14 @@ def test_triple_bound_on_perfect_matching():
     assert cert.params["analytic_bound"] >= cert.bound
 
 
+def test_triple_splits_its_edge_once():
+    # edge_halves splits the heaviest edge and mu0 reuses that split from the memo
+    edge_split.cache_clear()
+    triple_half_bound(cycle(14))
+    info = edge_split.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_triple_certificates_are_pinned():
     # every low-degree class with 2 <= n <= 8 and C8 ... C39: mu1 wins 73 times, mu2 3 times
     graphs = [g for n in range(2, 9) for g in enumerate_triangle_free(n)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from halfgraph import verify
 from halfgraph.density import (
     c4_density,
     c4_lower_general,
@@ -138,6 +139,27 @@ def test_c4_density_matches_the_path_oracle_with_one_added_edge(name):
     h = Graph.from_edges(g.n, g.edges() + [(u, w)])  # closes a triangle through u and w
     assert c4_density(g) == c4_by_paths(g)
     assert c4_density(h) == c4_by_paths(h) != c4_density(g)
+
+
+def test_c4_density_is_memoized_per_graph():
+    c4_density.cache_clear()
+    verify.run(["quadrilaterals"], 1)
+    info = c4_density.cache_info()
+    upto8 = [g for n in range(1, 9) for g in enumerate_triangle_free(n)]
+    upto7 = [g for g in upto8 if g.n <= 7]
+    # the 582 corpus graphs with n <= 8, then the named Clebsch graph and 5-cycle
+    assert info.misses == len(upto8) + 2 == 584
+    # the trivial and general lines read every corpus graph, the matching-free
+    # line those without an induced 2-matching, krivelevich_bound each graph
+    # with an edge and n <= 7, and the two tightness rows their named graph
+    calls = (2 * len(upto8) + sum(not has_induced_2matching(g) for g in upto8)
+             + sum(g.edge_count() > 0 for g in upto7) + 2)
+    assert info.hits == calls - info.misses == 915
+    g = named("clebsch").graph
+    twin = Graph(g.n, list(g.adj))
+    assert twin is not g and twin == g
+    assert c4_density(twin) is c4_density(g)
+    assert c4_density.cache_info() == info._replace(hits=info.hits + 2)
 
 
 def test_c4_tightness_at_the_two_extremal_graphs():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halfgraph import graphcore
+from halfgraph import graphcore, verify
 from halfgraph.graphcore import (
     Graph,
     Graph6Error,
@@ -603,6 +603,88 @@ def _oracle_girth(g):
 @given(st.one_of(graphs(), graphs(triangle_free=True)))
 def test_girth_matches_the_edge_deletion_oracle(g):
     assert girth(g) == _oracle_girth(g)
+
+
+def _oracle_independence_number(g):
+    """The original branch-and-bound: min/max over tuples, a nested matching bound."""
+    n, adj = g.n, g.adj
+    closed = [adj[v] | (1 << v) for v in range(n)]
+
+    # greedy start: repeatedly take a minimum-degree vertex
+    mask = (1 << n) - 1
+    greedy = 0
+    while mask:
+        v = min(graphcore._bits(mask), key=lambda u: (adj[u] & mask).bit_count())
+        greedy |= 1 << v
+        mask &= ~closed[v]
+    best_size = greedy.bit_count()
+    best_set = greedy
+
+    def matching_bound(cand: int) -> int:
+        # alpha(P) <= |P| - (size of any matching inside P)
+        matched = 0
+        used = 0
+        m = cand
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            m ^= low
+            if used >> v & 1:
+                continue
+            nb = adj[v] & cand & ~used & ~low
+            if nb:
+                w = (nb & -nb).bit_length() - 1
+                used |= (1 << v) | (1 << w)
+                matched += 1
+        return cand.bit_count() - matched
+
+    def expand(cand: int, chosen: int, size: int):
+        nonlocal best_size, best_set
+        if not cand:
+            if size > best_size:
+                best_size, best_set = size, chosen
+            return
+        if size + matching_bound(cand) <= best_size:
+            return
+        degs = [((adj[v] & cand).bit_count(), v) for v in graphcore._bits(cand)]
+        top_deg, v = max(degs)
+        if top_deg <= 1:
+            # paths of length one and isolated vertices: take |P| - #edges
+            extra = cand.bit_count() - sum(d for d, _ in degs) // 2
+            if size + extra > best_size:
+                pick = 0
+                m = cand
+                for d, u in sorted(degs, key=lambda t: t[1]):
+                    if m >> u & 1:
+                        pick |= 1 << u
+                        m &= ~closed[u]
+                best_size, best_set = size + extra, chosen | pick
+            return
+        expand(cand & ~closed[v], chosen | (1 << v), size + 1)
+        expand(cand & ~(1 << v), chosen, size)
+
+    expand((1 << n) - 1, 0, 0)
+    return best_size, tuple(graphcore._bits(best_set))
+
+
+@pytest.mark.parametrize("triangle_free", [False, True])
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_independence_number_matches_the_oracle(triangle_free, data):
+    g = data.draw(graphs(max_n=14, triangle_free=triangle_free))
+    assert independence_number(g) == _oracle_independence_number(g)
+
+
+def test_independence_number_matches_the_oracle_on_seeded_and_named_graphs():
+    # the graphs of the independence.random_graphs row, before its alpha >= 3/8 filter
+    rng = random.Random(26)
+    for _ in range(200):
+        n = rng.choice([12, 14, 16, 18, 20, 22, 24])
+        g = verify._random_triangle_free(rng, n, rng.randint(2 * n, 8 * n))
+        assert independence_number(g) == _oracle_independence_number(g)
+    for name in ("petersen", "clebsch", "hoffman_singleton", "gewirtz"):
+        g = named(name).graph
+        assert independence_number(g) == _oracle_independence_number(g)
 
 
 def test_enumerated_graphs_pass_full_validation():
