@@ -13,8 +13,8 @@ would otherwise hang the gate. The script prints one killed/survived line
 per entry and exits 1 if any survived. Standard library only.
 
 Only mutants that change behaviour belong here. Dropping a pruning rule of
-the enumeration, for instance, only adds duplicate children and keeps every
-key, so it survives by design.
+the enumeration only adds duplicate children and keeps every key, so only a
+test that pins the `_canonize` calls per level can kill it.
 """
 
 from __future__ import annotations
@@ -58,11 +58,23 @@ MUTANTS = [
         "bytes([perm[gamma[v]] for v in perm])",
         [GRAPHCORE_TESTS + "test_stored_automorphisms_are_automorphisms_of_the_canonical_forms"],
     ),
-    (  # isolated vertices of the canonical form numbered from 0
+    (  # a class listed from its parent plus K1 keeps the parent's isolated-vertex count
         GRAPHCORE,
-        "isolated = bytes(range(len(perm), n))",
-        "isolated = bytes(range(n - len(perm)))",
+        "found[(n, n - len(core), core)]",
+        "found[(n, n - 1 - len(core), core)]",
+        [GRAPHCORE_TESTS + "test_enumeration_output_is_pinned"],
+    ),
+    (  # the parent's automorphisms send the new isolated vertex to vertex 0
+        GRAPHCORE,
+        "fixed = bytes([n - 1])",
+        "fixed = bytes([0])",
         [GRAPHCORE_TESTS + "test_stored_automorphisms_are_automorphisms_of_the_canonical_forms"],
+    ),
+    (  # a mask may leave out isolated vertices: children with one are canonized again
+        GRAPHCORE,
+        "        if not row:\n            subsets = [s | (1 << v) for s in subsets]\n            continue\n",
+        "",
+        [GRAPHCORE_TESTS + "test_canonize_calls_per_level_are_pinned"],
     ),
     (  # induced 2-matchings: d may lie below c, so each cd edge comes twice and out of order
         GRAPHCORE,

@@ -590,18 +590,23 @@ def _graph_from_key(key: tuple) -> Graph:
 
 
 def _attachment_masks(g: Graph):
-    """Independent attachment masks in increasing numeric order, twins taken lowest-first.
+    """Independent attachment masks that hold every isolated vertex, in increasing
+    numeric order, twins taken lowest-first.
 
-    A mask spans no edge, so the child it makes stays triangle-free. Twins
-    are vertices with equal rows; swapping two of them is an automorphism of
-    g, hence an isomorphism of the children that fixes the new vertex. A mask
-    that takes a twin but not a lower one maps, by that swap, to a smaller
-    mask of the same size, so the masks left out lose no class.
+    A mask spans no edge, so the child it makes stays triangle-free, and it
+    holds every isolated vertex, so the child has none. Twins are vertices
+    with equal rows; swapping two of them is an automorphism of g, hence an
+    isomorphism of the children that fixes the new vertex. A mask that takes
+    a twin but not a lower one maps, by that swap, to a smaller mask of the
+    same size, so the masks left out lose no class.
     """
     subsets = [0]
     last_twin: dict[int, int] = {}
     for v in range(g.n):
         row = g.adj[v]
+        if not row:
+            subsets = [s | (1 << v) for s in subsets]
+            continue
         need = last_twin.get(row, 0)
         last_twin[row] = 1 << v
         lower = [s for s in subsets if not row & s and s & need == need]
@@ -648,38 +653,47 @@ def _lowest_per_orbit(masks, perms):
     return kept
 
 
-def _on_canonical_form(n, perm, automorphisms):
-    """`_canonize`'s automorphisms of a core, moved onto the class's canonical form.
+def _on_canonical_form(perm, automorphisms):
+    """`_canonize`'s automorphisms of a graph with no isolated vertex, moved onto
+    its canonical form.
 
-    Vertex i < len(perm) of the form is core vertex perm[i], so gamma becomes
-    i -> pos[gamma[perm[i]]], with pos the inverse of perm; the isolated
-    vertices, last in the form, stay fixed. Each comes back as `bytes` (n < 256).
+    Vertex i of the form is vertex perm[i], so gamma becomes
+    i -> pos[gamma[perm[i]]], with pos the inverse of perm. Each comes back
+    as `bytes` (n < 256).
     """
     pos = [0] * len(perm)
     for i, v in enumerate(perm):
         pos[v] = i
-    isolated = bytes(range(len(perm), n))
-    return tuple(bytes([pos[gamma[v]] for v in perm]) + isolated for gamma in automorphisms)
+    return tuple(bytes([pos[gamma[v]] for v in perm]) for gamma in automorphisms)
 
 
 @lru_cache(maxsize=None)
 def _triangle_free_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, ...], ...]]:
     """The canonical form of every class on n vertices, sorted by canonical key,
-    and for each the automorphisms of that form its canonization met.
+    and for each some automorphisms of that form.
 
-    A child is kept only when its new vertex has maximum degree (with k = |mask|
-    and D the parent's maximum degree, k >= D, and k > D if the mask holds a
-    vertex of degree D) and wins the tie-break of `_new_vertex_wins`. Of the
-    masks left, one per orbit under the parent's stored automorphisms is kept.
-    Only the children kept are canonized, each once; a class stores the
-    automorphisms of the first child that gave its key.
+    A class with an isolated vertex is an (n-1)-vertex class P plus K1, and
+    is listed straight from P with no search: P's key (n - 1, iso, core),
+    read off its form, gives the key (n, iso + 1, core), the form is P's
+    rows plus a zero row, and the automorphisms are P's with the new vertex
+    fixed. Every other class is a child of some P by a mask of
+    `_attachment_masks`. A child is kept only when its new vertex has maximum
+    degree (with k = |mask| and D the parent's maximum degree, k >= D, and
+    k > D if the mask holds a vertex of degree D) and wins the tie-break of
+    `_new_vertex_wins`. Of the masks left, one per orbit under the parent's
+    stored automorphisms is kept. Only the children kept are canonized, each
+    once; such a class stores the automorphisms met by the canonization of
+    the first child that gave its key.
     """
     if n == 1:
         return (empty(1),), ((),)
     found: dict[tuple, tuple[bytes, ...]] = {}  # canonical key -> its automorphisms
     top = 1 << (n - 1)
+    fixed = bytes([n - 1])
     for parent, automorphisms in zip(*_triangle_free_level(n - 1)):
         adj = parent.adj
+        core = tuple(row & ((1 << i) - 1) for i, row in enumerate(adj) if row)
+        found[(n, n - len(core), core)] = tuple(gamma + fixed for gamma in automorphisms)
         deg = [row.bit_count() for row in adj]
         dmax = max(deg)
         peak = sum(1 << v for v, d in enumerate(deg) if d == dmax)
@@ -694,7 +708,7 @@ def _triangle_free_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, 
             rows.append(mask)
             key, perm, gammas = _canonize(rows)
             if key not in found:
-                found[key] = _on_canonical_form(n, perm, gammas)
+                found[key] = _on_canonical_form(perm, gammas)
     keys = sorted(found)
     return tuple(_graph_from_key(key) for key in keys), tuple(found[key] for key in keys)
 
@@ -702,26 +716,32 @@ def _triangle_free_level(n: int) -> tuple[tuple[Graph, ...], tuple[tuple[bytes, 
 def enumerate_triangle_free(n: int) -> list[Graph]:
     """One graph per isomorphism class of triangle-free graphs on n vertices.
 
-    Canonical deletion of a vertex that is largest under (degree, sum of
-    neighbour degrees): each (n-1)-vertex class gets a new vertex attached to
-    an independent set, a child is kept only when its new vertex is such a
-    vertex, one mask per orbit under automorphisms of the parent is kept, and
-    the children are deduplicated by canonical key. No class is lost: a class
-    C has a largest vertex v, C - v is isomorphic to some parent P, and N(v)
-    maps to an independent mask M of P whose child, isomorphic to C, passes
-    the deletion rule. Twin pruning keeps M or swaps it for a mask whose child
-    is isomorphic to C by an isomorphism fixing the new vertex. The deletion
-    rule (degree, then the tie-break) depends only on isomorphism-invariant
-    properties of the mask and the new vertex, so an Aut(P) image of a mask
-    passes exactly when the mask does; the mask orbit pruning keeps from that
-    orbit passes too, and its child is isomorphic to C. The orbits are those
-    of the automorphisms met when the parent's class was canonized, moved
-    onto P: any set of automorphisms of P generates a subgroup of Aut(P), and
+    The classes with an isolated vertex are the (n-1)-vertex classes plus
+    K1, listed from them with no search. The others come by canonical
+    deletion of a vertex that is largest under (degree, sum of neighbour
+    degrees): each (n-1)-vertex class P gets a new vertex attached to an
+    independent mask that holds every isolated vertex of P, a child is kept
+    only when its new vertex is such a vertex, one mask per orbit under
+    automorphisms of P is kept, and the children are deduplicated by
+    canonical key. No class is lost: a class C with no isolated vertex has a
+    largest vertex v, C - v is isomorphic to some P, and N(v) maps to an
+    independent mask M of P whose child, isomorphic to C, passes the deletion
+    rule; M holds every isolated vertex of P, since an isolated vertex of
+    C - v is not isolated in C, so it is a neighbour of v. Twin pruning keeps
+    M or swaps it for a mask whose child is isomorphic to C by an isomorphism
+    fixing the new vertex; the isolated vertices of P are twins, so the swap
+    keeps them all. The deletion rule (degree, then the tie-break) depends
+    only on isomorphism-invariant properties of the mask and the new vertex,
+    and an automorphism maps the isolated vertices onto each other, so an
+    Aut(P) image of a mask passes exactly when the mask does; the mask orbit
+    pruning keeps from that orbit passes too, and its child is isomorphic to
+    C. The orbits are those of the automorphisms stored with P, each an
+    automorphism of P: any set of them generates a subgroup of Aut(P), and
     the argument holds for the orbits of any subgroup. Each class is listed
     in its canonical form (core in canonical order, isolated vertices last),
-    sorted by key. Levels above ENUM_MAX_N raise ResourceLimitError before any
-    work. Each level is computed once per process; every call returns a fresh
-    list.
+    sorted by key. Levels above ENUM_MAX_N raise ResourceLimitError before
+    any work. Each level is computed once per process; every call returns a
+    fresh list.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")

@@ -412,7 +412,7 @@ def _assert_automorphisms(g, perms):
 @settings(deadline=None)
 @given(graphs())
 def test_reported_automorphisms_are_automorphisms(g):
-    # on the core, as the search reports them, and moved onto the canonical form
+    # on the core, as the search reports them, and moved onto the core's canonical form
     key, perm, gammas = graphcore._canonize(g.adj)
     core = [v for v in range(g.n) if g.adj[v]]
     assert sorted(perm) == list(range(len(core)))
@@ -420,17 +420,17 @@ def test_reported_automorphisms_are_automorphisms(g):
         sub = g.subgraph(core)
         assert graphcore._perm_key(sub.adj, perm) == key[2]
         _assert_automorphisms(sub, gammas)
+        form = graphcore._graph_from_key((sub.n, 0, key[2]))
+        _assert_automorphisms(form, graphcore._on_canonical_form(perm, gammas))
     else:
         assert gammas == []
-    form = graphcore._graph_from_key(key)
-    _assert_automorphisms(form, graphcore._on_canonical_form(g.n, perm, gammas))
 
 
 def test_stored_automorphisms_are_automorphisms_of_the_canonical_forms():
     # the orbit rule of each level uses these; a mix-up of perm and its inverse, or
-    # a wrong offset for the isolated vertices, breaks some of them
+    # an inherited automorphism that moves the new isolated vertex, breaks some of them
     stored = 0
-    for n in range(1, 9):
+    for n in range(1, 10):
         forms, automorphisms = graphcore._triangle_free_level(n)
         assert len(forms) == len(automorphisms)
         for form, perms in zip(forms, automorphisms):
@@ -489,14 +489,26 @@ def test_tie_break_matches_the_child(data):
     assert graphcore._new_vertex_wins(g.adj, deg, nsum, mask) == expected
 
 
+def _masks_without_the_isolated_rule(g):
+    """`_attachment_masks` without its rule that a mask holds every isolated vertex."""
+    subsets, last_twin = [0], {}
+    for v, row in enumerate(g.adj):
+        need = last_twin.get(row, 0)
+        last_twin[row] = 1 << v
+        subsets.extend([s | (1 << v) for s in subsets if not row & s and s & need == need])
+    return subsets
+
+
 def test_pruned_levels_match_the_unpruned_oracle():
     # the oracle grows its own corpus; representatives differ by design, keys must not.
-    # The keys stay the same with the orbit rule or the tie-break rule switched off,
-    # so each rule only prunes; switched off, each canonizes more children.
+    # The keys stay the same with the orbit rule, the tie-break rule or the rule that
+    # a mask holds every isolated vertex switched off, so each rule only prunes;
+    # switched off, each canonizes more children.
     rules_off = [
         nullcontext(),
         mock.patch.object(graphcore, "_lowest_per_orbit", lambda masks, perms: masks),
         mock.patch.object(graphcore, "_new_vertex_wins", lambda *args: True),
+        mock.patch.object(graphcore, "_attachment_masks", _masks_without_the_isolated_rule),
     ]
     parents, oracle_keys = [empty(1)], {}
     for n in range(2, 9):
@@ -517,6 +529,32 @@ def test_pruned_levels_match_the_unpruned_oracle():
         finally:
             graphcore._triangle_free_level.cache_clear()
     assert canonized[0] < min(canonized[1:])
+
+
+def test_classes_with_an_isolated_vertex_are_the_parents_plus_k1():
+    # listed from the level below with no search: key (n, iso + 1, core), the
+    # parent's rows plus a zero row, the parent's automorphisms fixing the new vertex
+    for n in range(2, 10):
+        parents, parent_perms = graphcore._triangle_free_level(n - 1)
+        inherited = [(g, perms) for g, perms in zip(*graphcore._triangle_free_level(n))
+                     if not all(g.adj)]
+        assert [canonical_key(g) for g, _ in inherited] == [
+            (n, iso + 1, core) for _, iso, core in map(canonical_key, parents)]
+        assert [g.adj for g, _ in inherited] == [p.adj + (0,) for p in parents]
+        assert [perms for _, perms in inherited] == [
+            tuple(gamma + bytes([n - 1]) for gamma in perms) for perms in parent_perms]
+
+
+def test_canonize_calls_per_level_are_pinned():
+    # no child canonized holds an isolated vertex; a pruning rule dropped, or a
+    # class with an isolated vertex searched again, would canonize more children
+    graphcore._triangle_free_level.cache_clear()
+    with mock.patch.object(graphcore, "_canonize", wraps=graphcore._canonize) as canonize:
+        enumerate_triangle_free(9)
+    canonized = [call.args[0] for call in canonize.call_args_list]
+    assert all(all(rows) for rows in canonized)
+    per_level = [sum(len(rows) == n for rows in canonized) for n in range(1, 10)]
+    assert per_level == [0, 1, 1, 5, 8, 28, 83, 359, 1765]
 
 
 @settings(deadline=None)
