@@ -99,7 +99,9 @@ MUTANTS = [
         GRAPHCORE,
         "                m ^= nb & -nb\n",
         "",
-        [GRAPHCORE_TESTS + "test_independence_number_matches_the_oracle"],
+        [GRAPHCORE_TESTS + "test_independence_number_matches_the_oracle",
+         GRAPHCORE_TESTS
+         + "test_independence_number_matches_the_oracle_on_seeded_and_named_graphs"],
     ),
     (  # leaf key rows built from vertex labels instead of positions
         GRAPHCORE,
@@ -187,6 +189,12 @@ MUTANTS = [
         "Fraction(2 * edges, 2 * n * n)",
         [CONSTRUCTIONS_TESTS + "test_m22_recipe"],
     ),
+    (  # the two-weight closed form takes p * rho_rest for p^2 * rho_rest
+        CONSTRUCTIONS,
+        "+ p**2 * part_density(g, rest))",
+        "+ p * part_density(g, rest))",
+        [CONSTRUCTIONS_TESTS + "test_maxdeg_values"],
+    ),
     (  # the neighborhood union keeps its roots
         CONSTRUCTIONS,
         "        mask &= ~_mask_of(roots)\n",
@@ -197,6 +205,12 @@ MUTANTS = [
         CONSTRUCTIONS,
         "c1, c2 = edge_halves(g, (v1, v2))",
         "c2, c1 = edge_halves(g, (v1, v2))",
+        [CONSTRUCTIONS_TESTS + "test_triple_certificates_are_pinned"],
+    ),
+    (  # the three-half bound breaks ties toward the highest index
+        CONSTRUCTIONS,
+        "key=lambda i: (values[i], i))",
+        "key=lambda i: (values[i], -i))",
         [CONSTRUCTIONS_TESTS + "test_triple_certificates_are_pinned"],
     ),
     (  # Horner's scheme on (p, r, d) triples drops the constant term

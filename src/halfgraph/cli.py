@@ -70,9 +70,6 @@ def _print_graph_info(g: Graph) -> None:
 
 def cmd_graphs(args) -> int:
     if args.graphs_cmd == "enumerate":
-        if args.n < 1:
-            print("error: --n must be at least 1", file=sys.stderr)
-            return 2
         graphs = enumerate_triangle_free(args.n)
         if args.count_only:
             print(len(graphs))

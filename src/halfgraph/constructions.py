@@ -7,15 +7,14 @@ ride along in `params` and are checked against the recomputation by
 
 Vertex sets are int bitmasks.  Convention note: rho_x here always means
 |E(X)|/n^2 (`part_density`, no factor 2) and rho_xy means 2|E(X,Y)|/n^2
-(`cross_density`), so closed forms carry an explicit factor 2 on within-part
-terms.
+(`cross_density`), so a closed form of 2*beta carries an explicit factor 2 on
+within-part terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .density import c4_density, cross_density, part_density, rho
 from .exactmath import sparse_estimate
@@ -33,7 +32,6 @@ from .halves import (
     Half,
     _mask_certificate,
     _odd_cost,
-    beta_of_half,
     certificate,
     require,
 )
@@ -43,10 +41,17 @@ class RecipeSearchError(Exception):
     """A recipe search exhausted its candidates without the stated counts."""
 
 
-def _search_failed(message: str, best) -> RecipeSearchError:
-    """The error for an exhausted search, naming the closest (count, roots) it saw."""
-    closest = f"closest {best[0]} edges at roots {best[1]}" if best else "no candidate"
-    return RecipeSearchError(f"{message}; {closest}")
+def _split_half(g: Graph, method: str, top: int, rest: int, p, params) -> BoundCertificate:
+    """The half with weight 1 on `top` and p on `rest`, certified against its closed form.
+
+    The recomputed bound must equal rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest.
+    """
+    cert = certificate(g, method, Half.from_masks(g.n, [(top, 1), (rest, p)]), params)
+    closed_form = (part_density(g, top) + p * cross_density(g, top, rest) / 2
+                   + p**2 * part_density(g, rest))
+    require(cert.bound == closed_form,
+            f"{method}: bound {cert.bound} != closed form {closed_form}")
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +74,8 @@ class EdgeSplit:
     p2: Fraction
 
 
-@lru_cache(maxsize=None)
-def edge_split(g: Graph, edge: tuple[int, int]) -> EdgeSplit:
-    """The split of g by `edge`, memoized per (graph, edge) tuple."""
+def edge_split(g: Graph, edge) -> EdgeSplit:
+    """The split of g by `edge`, a pair (v1, v2) of adjacent vertices with no common neighbour."""
     v1, v2 = edge
     if not g.has_edge(v1, v2):
         raise ValueError(f"({v1}, {v2}) is not an edge")
@@ -90,27 +94,17 @@ def edge_split(g: Graph, edge: tuple[int, int]) -> EdgeSplit:
                      e1=e1, e2=e2, p1=p1, p2=1 - p1)
 
 
-def edge_halves(g: Graph, edge: tuple[int, int]) -> tuple[BoundCertificate, BoundCertificate]:
+def edge_halves(g: Graph, edge) -> tuple[BoundCertificate, BoundCertificate]:
     """The two halves supported on one side of an edge split.
 
-    Half i puts weight 1 on N(v_i), p_i on the rest, 0 on N(v_{3-i}); its
-    value satisfies beta(G, mu_i) = (p_i * rho_{a_i b})/2 + p_i^2 * rho_b,
-    which is checked against the recomputed bound.
+    Half i is `_split_half` (N(v_i), B, p_i): weight 1 on N(v_i), p_i on the
+    rest B, 0 on N(v_{3-i}).
     """
     split = edge_split(g, edge)
-    rho_b = part_density(g, split.b)
-    certs = []
-    for tag, own, p in (("a1", split.a1, split.p1), ("a2", split.a2, split.p2)):
-        mu = Half.from_masks(g.n, [(own, 1), (split.b, p)])
-        cert = certificate(g, "edge", mu, {
-            "v1": split.v1, "v2": split.v2, "side": tag,
-            "e1": split.e1, "e2": split.e2, "p": p,
-        })
-        closed_form = p * cross_density(g, own, split.b) / 2 + p**2 * rho_b
-        require(cert.bound == closed_form,
-                f"edge half {tag}: bound {cert.bound} != closed form {closed_form}")
-        certs.append(cert)
-    return certs[0], certs[1]
+    return tuple(_split_half(g, "edge", own, split.b, p, {
+        "v1": split.v1, "v2": split.v2, "side": tag,
+        "e1": split.e1, "e2": split.e2, "p": p,
+    }) for tag, own, p in (("a1", split.a1, split.p1), ("a2", split.a2, split.p2)))
 
 
 def krivelevich_bound(g: Graph) -> Fraction:
@@ -136,26 +130,22 @@ def _max_degree_split(g: Graph):
 def maxdeg_halves(g: Graph) -> BoundCertificate:
     """Two halves built from a maximum-degree vertex, plus the analytic bound.
 
-    mu0 avoids the neighborhood entirely; mu1 takes all of it.  The returned
-    certificate carries the better actual half; the analytic value
-    rho*(1-2*Delta)/(8*(1-Delta)^2) is checked to dominate it.
+    As `_split_half` (top, rest, p) triples, mu0 is (empty, V - N(v), 1/(2(1-Delta)))
+    and mu1 is (N(v), V - N(v), (1/2-Delta)/(1-Delta)); the better one's certificate
+    is returned, and the analytic rho*(1-2*Delta)/(8*(1-Delta)^2) must dominate it.
     """
-    n = g.n
     v, delta, hood, rest = _max_degree_split(g)
     if delta >= Fraction(1, 2):
         raise ValueError(f"max degree {delta} >= 1/2; half weights would exceed 1")
-    mu0 = Half.from_masks(n, [(rest, 1 / (2 * (1 - delta)))])
-    mu1 = Half.from_masks(n, [(hood, 1), (rest, (Fraction(1, 2) - delta) / (1 - delta))])
-    beta0 = beta_of_half(g, mu0)
-    beta1 = beta_of_half(g, mu1)
+    params = {"vertex": v, "delta": delta}
+    c0 = _split_half(g, "maxdeg", 0, rest, 1 / (2 * (1 - delta)), params)
+    c1 = _split_half(g, "maxdeg", hood, rest, (Fraction(1, 2) - delta) / (1 - delta), params)
     analytic = rho(g) * (1 - 2 * delta) / (8 * (1 - delta) ** 2)
-    require(analytic >= min(beta0, beta1),
-            f"maxdeg: analytic {analytic} below both halves {beta0}, {beta1}")
-    best = mu0 if beta0 <= beta1 else mu1
-    return certificate(g, "maxdeg", best, {
-        "vertex": v, "delta": delta, "analytic_bound": analytic,
-        "beta_mu0": beta0, "beta_mu1": beta1,
-    })
+    require(analytic >= min(c0.bound, c1.bound),
+            f"maxdeg: analytic {analytic} below both halves {c0.bound}, {c1.bound}")
+    best = c0 if c0.bound <= c1.bound else c1
+    best.params.update(analytic_bound=analytic, beta_mu0=c0.bound, beta_mu1=c1.bound)
+    return best
 
 
 def maxdeg_combination_residual(g: Graph) -> Fraction:
@@ -183,33 +173,30 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
     """Best of the three halves around the heaviest edge, with the analytic value.
 
     Picks v1 of maximum degree, v2 of maximum degree inside N(v1) (ties to
-    the lowest index).  mu1 and mu2 are `edge_halves(g, (v1, v2))`; mu0 takes
-    both neighborhoods, and its closed form is checked here.  params carry the
-    analytic estimate f(rho, Delta, e2), which must dominate the best half.
+    the lowest index).  mu1 and mu2 are `edge_halves(g, (v1, v2))`, the one
+    split of the edge; mu0 is the `_split_half` (N(v1) | N(v2), rest, p0) with
+    e1 = Delta and e2 = deg(v2)/n.  The best half's certificate is returned,
+    ties to mu0; the analytic f(rho, Delta, e2) must dominate it.
     """
     if not is_triangle_free(g):
         raise ValueError("construction requires a triangle-free graph")
     if g.edge_count() == 0:
         raise ValueError("graph has no edges")
-    v1, delta, _, _ = _max_degree_split(g)
+    v1, delta, hood, _ = _max_degree_split(g)
     if delta > Fraction(1, 4):
         raise ValueError(f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case")
-    v2 = min(_bits(g.adj[v1]), key=lambda u: (-g.degree(u), u))
+    v2 = min(_bits(hood), key=lambda u: (-g.degree(u), u))
     c1, c2 = edge_halves(g, (v1, v2))
-    split = edge_split(g, (v1, v2))
-    both = split.a1 | split.a2
-    p0 = (Fraction(1, 2) - split.e1 - split.e2) / (1 - split.e1 - split.e2)
-    mu0 = Half.from_masks(g.n, [(both, 1), (split.b, p0)])
-    values = [beta_of_half(g, mu0), c1.bound, c2.bound]
-    closed_form = (cross_density(g, split.a1, split.a2) + p0 * cross_density(g, both, split.b)
-                   + 2 * p0**2 * part_density(g, split.b)) / 2
-    require(values[0] == closed_form, f"triple: mu0 {values[0]} != closed form {closed_form}")
-
-    analytic = sparse_estimate().eval({"rho": rho(g), "delta": delta, "e2": split.e2})
+    e2 = Fraction(g.degree(v2), g.n)
+    both = hood | g.adj[v2]
+    p0 = (Fraction(1, 2) - delta - e2) / (1 - delta - e2)
+    certs = (_split_half(g, "triple", both, ((1 << g.n) - 1) & ~both, p0, {}), c1, c2)
+    values = [c.bound for c in certs]
+    analytic = sparse_estimate().eval({"rho": rho(g), "delta": delta, "e2": e2})
     require(analytic >= min(values), f"triple: analytic {analytic} below every half {values}")
     best_idx = min(range(3), key=lambda i: (values[i], i))
-    return certificate(g, "triple", (mu0, c1.half, c2.half)[best_idx], {
-        "v1": v1, "v2": v2, "delta": delta, "e2": split.e2, "p0": p0,
+    return BoundCertificate("triple", values[best_idx], certs[best_idx].half, {
+        "v1": v1, "v2": v2, "delta": delta, "e2": e2, "p0": p0,
         "analytic_bound": analytic, "chosen": f"mu{best_idx}",
     })
 
@@ -247,7 +234,8 @@ def _union_recipe(g: Graph, method: str, candidates, edges: int, cost, params) -
         if induced == edges and (cost is None or _odd_cost(g.adj, g.n, mask)[0] == cost):
             return _mask_certificate(g, method, mask, induced, params(roots))
     pivot = "" if cost is None else f" with a {cost}-neighbor pivot"
-    raise _search_failed(f"{method}: no root tuple spans {edges} edges{pivot}", best)
+    closest = f"closest {best[0]} edges at roots {best[1]}" if best else "no candidate"
+    raise RecipeSearchError(f"{method}: no root tuple spans {edges} edges{pivot}; {closest}")
 
 
 def clebsch_recipe_half(ng: NamedGraph) -> BoundCertificate:

@@ -22,8 +22,8 @@ def test_enumerate_count_only(capsys):
 
 
 def test_enumerate_rejects_zero(capsys):
-    assert main(["graphs", "enumerate", "--n", "0"]) == 2
-    assert "at least 1" in capsys.readouterr().err
+    assert main(["graphs", "enumerate", "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: vertex count must be >= 1\n"
 
 
 def test_enumerate_above_the_limit_is_an_error_line(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfgraph import constructions, halves
 from halfgraph.constructions import (
     RecipeSearchError,
     clebsch_recipe_half,
@@ -18,18 +19,19 @@ from halfgraph.constructions import (
     maxdeg_halves,
     triple_half_bound,
 )
-from halfgraph.density import c4_density, cross_density, rho
+from halfgraph.density import c4_density, cross_density, part_density, rho
 from halfgraph.graphcore import (
     Graph,
     NamedGraph,
     clebsch,
     cycle,
     empty,
+    NAMED_GRAPH_NAMES,
     enumerate_triangle_free,
     named,
     petersen,
 )
-from halfgraph.halves import _odd_cost, beta_exact, beta_of_half
+from halfgraph.halves import CertificateError, _odd_cost, beta_exact, beta_of_half
 
 
 def eligible_edges(g):
@@ -53,6 +55,7 @@ def test_edge_split_pentagon():
     s = edge_split(g, (0, 1))
     assert (s.a1, s.a2, s.b) == (0b10010, 0b00101, 0b01000)
     assert s.p1 == s.p2 == Fraction(1, 2)
+    assert edge_split(g, [0, 1]) == s
 
 
 def test_edge_split_errors():
@@ -84,6 +87,14 @@ def test_edge_halves_star_with_slack_is_consistent():
     g = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3)])
     c1, c2 = edge_halves(g, (0, 1))
     assert c1.bound == beta_of_half(g, c1.half)
+    assert c2.bound == beta_of_half(g, c2.half)
+
+
+def test_edge_halves_count_the_edges_inside_a_neighbourhood():
+    # the triangle 0-2-3 avoids the edge (0, 1) but lies inside N(0) + 0
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (0, 3), (2, 3)])
+    c1, c2 = edge_halves(g, (0, 1))
+    assert c1.bound == beta_of_half(g, c1.half) == Fraction(1, 64)
     assert c2.bound == beta_of_half(g, c2.half)
 
 
@@ -153,6 +164,23 @@ def test_maxdeg_values():
     assert maxdeg_halves(matching).params["analytic_bound"] == Fraction(1, 36)
 
 
+def test_maxdeg_certificates_are_pinned():
+    # every class with 2 <= n <= 8, an edge and Delta < 1/2, and the named graphs
+    graphs = [g for n in range(2, 9) for g in enumerate_triangle_free(n)
+              if g.edge_count() and 2 * g.max_degree() < g.n]
+    certs = [maxdeg_halves(g) for g in graphs + [named(x).graph for x in NAMED_GRAPH_NAMES]]
+    assert len(certs) == 287
+    blob = "\n".join(json.dumps(c.to_dict(), sort_keys=True) for c in certs).encode()
+    assert hashlib.sha256(blob).hexdigest().startswith("2e1e93128ac34c51")
+
+
+def test_maxdeg_checks_its_closed_forms(monkeypatch):
+    monkeypatch.setattr(constructions, "part_density",
+                        lambda g, x: part_density(g, x) + Fraction(1, g.n**2))
+    with pytest.raises(CertificateError, match=r"^maxdeg: bound 3/98 != closed form "):
+        maxdeg_halves(named("petersen").graph)
+
+
 def test_maxdeg_rejects_high_degree():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(ValueError):
@@ -197,12 +225,23 @@ def test_triple_bound_on_perfect_matching():
     assert cert.params["analytic_bound"] >= cert.bound
 
 
-def test_triple_splits_its_edge_once():
-    # edge_halves splits the heaviest edge and mu0 reuses that split from the memo
-    edge_split.cache_clear()
-    triple_half_bound(cycle(14))
-    info = edge_split.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+def test_each_candidate_half_is_certified_once(monkeypatch):
+    calls = []
+
+    def counted(g, mu):
+        calls.append(mu)
+        return beta_of_half(g, mu)
+
+    for module in (halves, constructions):
+        monkeypatch.setattr(module, "beta_of_half", counted, raising=False)
+    counts = []
+    for build in (lambda: edge_halves(petersen(), petersen().edges()[0]),
+                  lambda: maxdeg_halves(petersen()),
+                  lambda: triple_half_bound(cycle(14))):
+        calls.clear()
+        build()
+        counts.append(len(calls))
+    assert counts == [2, 2, 3]
 
 
 def test_triple_certificates_are_pinned():
