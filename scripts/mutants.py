@@ -34,6 +34,8 @@ HALVES = "halfgraph/halves.py"
 HALVES_TESTS = "tests/test_halves.py::"
 CONSTRUCTIONS = "halfgraph/constructions.py"
 CONSTRUCTIONS_TESTS = "tests/test_constructions.py::"
+INDEPENDENCE = "halfgraph/independence.py"
+INDEPENDENCE_TESTS = "tests/test_independence.py::"
 EXACTMATH = "halfgraph/exactmath.py"
 EXACTMATH_TESTS = "tests/test_exactmath.py::"
 SRG = "halfgraph/srg.py"
@@ -94,6 +96,13 @@ MUTANTS = [
         "if d > top_deg:",
         [GRAPHCORE_TESTS
          + "test_independence_number_matches_the_oracle_on_seeded_and_named_graphs"],
+    ),
+    (  # alpha search without its node budget: a search past ALPHA_MAX_NODES runs on
+        GRAPHCORE,
+        "        if nodes > ALPHA_MAX_NODES:\n"
+        '            raise ResourceLimitError(f"independence search exceeded {ALPHA_MAX_NODES} nodes")\n',
+        "",
+        [GRAPHCORE_TESTS + "test_independence_search_budget_boundary"],
     ),
     (  # alpha's matching bound leaves the matched partner free to match again
         GRAPHCORE,
@@ -190,10 +199,16 @@ MUTANTS = [
         [CONSTRUCTIONS_TESTS + "test_m22_recipe"],
     ),
     (  # the two-weight closed form takes p * rho_rest for p^2 * rho_rest
-        CONSTRUCTIONS,
+        HALVES,
         "+ p**2 * part_density(g, rest))",
         "+ p * part_density(g, rest))",
         [CONSTRUCTIONS_TESTS + "test_maxdeg_values"],
+    ),
+    (  # the second edge half weights the rest with p1 instead of p2 = 1 - p1
+        CONSTRUCTIONS,
+        '("a2", a2, 1 - p1)',
+        '("a2", a2, p1)',
+        [CONSTRUCTIONS_TESTS + "test_split_combination_identity_on_small_graphs"],
     ),
     (  # the neighborhood union keeps its roots
         CONSTRUCTIONS,
@@ -212,6 +227,12 @@ MUTANTS = [
         "key=lambda i: (values[i], i))",
         "key=lambda i: (values[i], -i))",
         [CONSTRUCTIONS_TESTS + "test_triple_certificates_are_pinned"],
+    ),
+    (  # the independent set is certified with one induced edge instead of none
+        INDEPENDENCE,
+        '_mask_certificate(g, "independence", a_mask, 0,',
+        '_mask_certificate(g, "independence", a_mask, 1,',
+        [INDEPENDENCE_TESTS + "test_mask_cases_carry_their_induced_edge_count"],
     ),
     (  # Horner's scheme on (p, r, d) triples drops the constant term
         EXACTMATH,

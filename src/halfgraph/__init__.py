@@ -9,10 +9,8 @@ claims, plus a CLI (`halfgraph`) that reproduces them.
 """
 
 from .constructions import (
-    EdgeSplit,
     clebsch_recipe_half,
     edge_halves,
-    edge_split,
     gewirtz_recipe_half,
     krivelevich_bound,
     m22_recipe_half,

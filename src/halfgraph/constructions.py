@@ -1,9 +1,9 @@
 """Explicit half constructions and the exact bounds they certify.
 
-Every constructor returns a BoundCertificate whose `bound` is beta(G, half)
-recomputed from the weights, never the analytic shortcut; analytic values
-ride along in `params` and are checked against the recomputation by
-`require`, which raises CertificateError (also under python -O).
+Every constructor returns a BoundCertificate whose `bound` is beta(G, half),
+recomputed from the weights by `halves._split_half` or `_mask_certificate`,
+never the analytic shortcut; analytic values ride along in `params` and are
+checked against the recomputation by `require` (CertificateError, also -O).
 
 Vertex sets are int bitmasks.  Convention note: rho_x here always means
 |E(X)|/n^2 (`part_density`, no factor 2) and rho_xy means 2|E(X,Y)|/n^2
@@ -13,7 +13,6 @@ within-part terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .density import c4_density, cross_density, part_density, rho
@@ -29,10 +28,9 @@ from .graphcore import (
 )
 from .halves import (
     BoundCertificate,
-    Half,
     _mask_certificate,
     _odd_cost,
-    certificate,
+    _split_half,
     require,
 )
 
@@ -41,70 +39,32 @@ class RecipeSearchError(Exception):
     """A recipe search exhausted its candidates without the stated counts."""
 
 
-def _split_half(g: Graph, method: str, top: int, rest: int, p, params) -> BoundCertificate:
-    """The half with weight 1 on `top` and p on `rest`, certified against its closed form.
-
-    The recomputed bound must equal rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest.
-    """
-    cert = certificate(g, method, Half.from_masks(g.n, [(top, 1), (rest, p)]), params)
-    closed_form = (part_density(g, top) + p * cross_density(g, top, rest) / 2
-                   + p**2 * part_density(g, rest))
-    require(cert.bound == closed_form,
-            f"{method}: bound {cert.bound} != closed form {closed_form}")
-    return cert
-
-
 # ---------------------------------------------------------------------------
 # Per-edge splits
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeSplit:
-    """The three-part split induced by one edge: both neighborhoods and the rest, as masks."""
+def edge_halves(g: Graph, edge) -> tuple[BoundCertificate, BoundCertificate]:
+    """The two halves of the split by `edge` = (v1, v2), adjacent with no common neighbour.
 
-    v1: int
-    v2: int
-    a1: int
-    a2: int
-    b: int
-    e1: Fraction
-    e2: Fraction
-    p1: Fraction
-    p2: Fraction
-
-
-def edge_split(g: Graph, edge) -> EdgeSplit:
-    """The split of g by `edge`, a pair (v1, v2) of adjacent vertices with no common neighbour."""
+    With e_i = deg(v_i)/n <= 1/2, e1 + e2 < 1 (else ValueError), B = V - N(v1) - N(v2) and
+    p1 = (1/2 - e1)/(1 - e1 - e2) = 1 - p2, half i is `_split_half` (N(v_i), B, p_i).
+    """
     v1, v2 = edge
     if not g.has_edge(v1, v2):
         raise ValueError(f"({v1}, {v2}) is not an edge")
-    if g.adj[v1] & g.adj[v2]:
+    a1, a2 = g.adj[v1], g.adj[v2]
+    if a1 & a2:
         raise ValueError("common neighborhood not empty: graph has a triangle")
-    n = g.n
-    e1 = Fraction(g.degree(v1), n)
-    e2 = Fraction(g.degree(v2), n)
+    e1, e2 = Fraction(a1.bit_count(), g.n), Fraction(a2.bit_count(), g.n)
     if e1 + e2 >= 1:
         raise ValueError(f"degenerate split: e1 + e2 = {e1 + e2} >= 1")
     if e1 > Fraction(1, 2) or e2 > Fraction(1, 2):
         raise ValueError("relative degree above 1/2; split weights leave [0, 1]")
-    a1, a2 = g.adj[v1], g.adj[v2]
+    b = ((1 << g.n) - 1) & ~(a1 | a2)
     p1 = (Fraction(1, 2) - e1) / (1 - e1 - e2)
-    return EdgeSplit(v1=v1, v2=v2, a1=a1, a2=a2, b=((1 << n) - 1) & ~(a1 | a2),
-                     e1=e1, e2=e2, p1=p1, p2=1 - p1)
-
-
-def edge_halves(g: Graph, edge) -> tuple[BoundCertificate, BoundCertificate]:
-    """The two halves supported on one side of an edge split.
-
-    Half i is `_split_half` (N(v_i), B, p_i): weight 1 on N(v_i), p_i on the
-    rest B, 0 on N(v_{3-i}).
-    """
-    split = edge_split(g, edge)
-    return tuple(_split_half(g, "edge", own, split.b, p, {
-        "v1": split.v1, "v2": split.v2, "side": tag,
-        "e1": split.e1, "e2": split.e2, "p": p,
-    }) for tag, own, p in (("a1", split.a1, split.p1), ("a2", split.a2, split.p2)))
+    return tuple(_split_half(g, "edge", own, b, p, dict(v1=v1, v2=v2, side=side, e1=e1, e2=e2, p=p))
+                 for side, own, p in (("a1", a1, p1), ("a2", a2, 1 - p1)))
 
 
 def krivelevich_bound(g: Graph) -> Fraction:

@@ -16,6 +16,7 @@ from . import _named_data
 
 
 ENUM_MAX_N = 10  # enumerate_triangle_free refuses larger levels instead of running unbounded
+ALPHA_MAX_NODES = 500_000  # independence_number's search-node budget
 
 
 class ResourceLimitError(Exception):
@@ -224,9 +225,11 @@ def has_induced_2matching(g: Graph) -> bool:
 def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Exact maximum independent set size plus one witness, by branch-and-bound.
 
-    Every mask is walked lowest vertex first with `low = m & -m`.
+    Every mask is walked lowest vertex first with `low = m & -m`.  A search
+    that visits more than ALPHA_MAX_NODES nodes raises ResourceLimitError.
     """
     n, adj = g.n, g.adj
+    nodes = 0
     closed = [adj[v] | (1 << v) for v in range(n)]
 
     # greedy start: repeatedly take the lowest vertex of least degree
@@ -247,7 +250,10 @@ def independence_number(g: Graph) -> tuple[int, tuple[int, ...]]:
     best_set = greedy
 
     def expand(cand: int, chosen: int, size: int):
-        nonlocal best_size, best_set
+        nonlocal best_size, best_set, nodes
+        nodes += 1
+        if nodes > ALPHA_MAX_NODES:
+            raise ResourceLimitError(f"independence search exceeded {ALPHA_MAX_NODES} nodes")
         if not cand:
             if size > best_size:
                 best_size, best_set = size, chosen

@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import compress
 from math import isqrt
 
+from .density import cross_density, part_density
 from .graphcore import (
     Graph,
     IntegrityError,
@@ -152,6 +153,19 @@ def _mask_certificate(g: Graph, method: str, mask: int, edges: int, params) -> B
     cert = certificate(g, method, Half.from_masks(n, pairs), params)
     expected = Fraction(2 * edges + cost, 2 * n * n)
     require(cert.bound == expected, f"{method}: bound {cert.bound} != {expected}")
+    return cert
+
+
+def _split_half(g: Graph, method: str, top: int, rest: int, p, params) -> BoundCertificate:
+    """The half with weight 1 on `top` and p on `rest`, certified against its closed form.
+
+    The recomputed bound must equal rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest.
+    """
+    cert = certificate(g, method, Half.from_masks(g.n, [(top, 1), (rest, p)]), params)
+    closed_form = (part_density(g, top) + p * cross_density(g, top, rest) / 2
+                   + p**2 * part_density(g, rest))
+    require(cert.bound == closed_form,
+            f"{method}: bound {cert.bound} != closed form {closed_form}")
     return cert
 
 

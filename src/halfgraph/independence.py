@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .density import part_density
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits, _induced_edges, _mask_of, independence_number
-from .halves import BoundCertificate, Half, certificate, require
+from .halves import BoundCertificate, _mask_certificate, _split_half, require
 
 
 def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -> int:
@@ -43,11 +42,13 @@ def independence_half(g: Graph) -> BoundCertificate:
     """Build a half from a maximum independent set of g, with exact value.
 
     The set is `independence_number(g)`'s witness (the reservoir step needs a
-    maximum set), cut to its n/2 lowest vertices, so alpha = min(alpha(G),
-    1/2).  The certificate's bound is the recomputed beta of the returned
-    half; the analytic guarantee (alpha/2)(1/2 - alpha) rides in params, along
-    with an `outside_hypothesis` flag when alpha < 3/8 (the construction still
-    runs, the guarantee just is not asserted).
+    maximum set; a search past `graphcore.ALPHA_MAX_NODES` nodes raises
+    ResourceLimitError), cut to its n/2 lowest vertices, so alpha = min(alpha(G),
+    1/2).  Each half is certified by `_mask_certificate` (recording the
+    `induced_edges` counted here) or, in the fractional case, `_split_half`; the
+    analytic guarantee (alpha/2)(1/2 - alpha) rides in params, along with an
+    `outside_hypothesis` flag when alpha < 3/8 (the construction still runs,
+    the guarantee just is not asserted).
     """
     n = g.n
     if n % 2:
@@ -55,27 +56,25 @@ def independence_half(g: Graph) -> BoundCertificate:
     a_mask = _mask_of(independence_number(g)[1][: n // 2])
     alpha = Fraction(a_mask.bit_count(), n)
     analytic = alpha / 2 * (Fraction(1, 2) - alpha)
-    base_params = {
-        "alpha": alpha,
-        "analytic_bound": analytic,
-        "outside_hypothesis": alpha < Fraction(3, 8),
-    }
+    base_params = {"alpha": alpha, "analytic_bound": analytic,
+                   "outside_hypothesis": alpha < Fraction(3, 8)}
 
     if a_mask.bit_count() == n // 2:
-        return certificate(g, "independence", Half.from_masks(n, [(a_mask, 1)]),
-                           {**base_params, "case": "inside-independent-set"})
+        return _mask_certificate(g, "independence", a_mask, 0,
+                                 {**base_params, "case": "inside-independent-set"})
 
     spill_cap = n // 2 - a_mask.bit_count()  # = (1/2 - alpha) * n
     b_mask = grow_low_spill_set(g, a_mask, spill_cap, n // 2)
     p_b = Fraction(b_mask.bit_count(), n)
-    rho_b = part_density(g, b_mask)
+    b_edges = _induced_edges(g.adj, b_mask)
+    rho_b = Fraction(b_edges, n * n)
     require(alpha <= p_b <= Fraction(1, 2), f"grown density {p_b} outside [{alpha}, 1/2]")
     require(rho_b <= 2 * (Fraction(1, 2) - alpha) * (p_b - alpha),
             f"grown set has edge density {rho_b} above its spill budget")
 
     if b_mask.bit_count() == n // 2:
-        cert = certificate(g, "independence", Half.from_masks(n, [(b_mask, 1)]),
-                           {**base_params, "case": "greedy-filled", "p_b": p_b})
+        cert = _mask_certificate(g, "independence", b_mask, b_edges,
+                                 {**base_params, "case": "greedy-filled", "p_b": p_b})
         require(cert.bound <= (Fraction(1, 2) - alpha) ** 2,
                 f"greedy-filled half {cert.bound} above (1/2 - alpha)^2")
         return cert
@@ -107,8 +106,8 @@ def independence_half(g: Graph) -> BoundCertificate:
     if pivot is not None:
         fan = list(_bits(g.adj[pivot] & d_mask))[:need]
         half_mask = b_mask | _mask_of(fan)
-        return certificate(g, "independence", Half.from_masks(n, [(half_mask, 1)]),
-                           {**base_params, "case": "pivot-fan", "p_b": p_b, "pivot": pivot})
+        return _mask_certificate(g, "independence", half_mask, _induced_edges(g.adj, half_mask),
+                                 {**base_params, "case": "pivot-fan", "p_b": p_b, "pivot": pivot})
 
     # no pivot reaches the reservoir strongly: weight the rest fractionally
     best: BoundCertificate | None = None
@@ -121,10 +120,8 @@ def independence_half(g: Graph) -> BoundCertificate:
         require(p_f != 0 or numer == 0, "empty remainder with weight left to place")
         p = numer / p_f if p_f else Fraction(0)
         require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
-        mu = Half.from_masks(n, [(b_mask | fan_mask, 1), (rest_mask, p)])
-        cert = certificate(g, "independence", mu,
-                           {**base_params, "case": "fractional-rest", "p_b": p_b,
-                            "pivot": v0, "p": p})
+        cert = _split_half(g, "independence", b_mask | fan_mask, rest_mask, p, {
+            **base_params, "case": "fractional-rest", "p_b": p_b, "pivot": v0, "p": p})
         if best is None or cert.bound < best.bound:
             best = cert
     require(best is not None, "fractional case: the grown set is empty")

@@ -182,6 +182,18 @@ def test_bad_input_is_an_error_line_not_a_traceback(argv, message, tmp_path, cap
     assert "Traceback" not in captured.err + captured.out
 
 
+def test_beta_bound_independence_over_the_alpha_budget_is_an_error_line(tmp_path, capsys,
+                                                                        monkeypatch):
+    (tmp_path / "petersen.g6").write_text(save_graph6(named("petersen").graph) + "\n")
+    monkeypatch.setattr("halfgraph.graphcore.ALPHA_MAX_NODES", 10)
+    argv = ["beta", "bound", "--method", "independence", "--file", str(tmp_path / "petersen.g6")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: independence search exceeded 10 nodes\n"
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("method", ["edge", "maxdeg", "triple", "independence",
                                     "local-search", "krivelevich"])
 def test_beta_bound_rejects_a_graph_with_a_triangle(method, tmp_path, capsys):

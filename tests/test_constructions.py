@@ -11,7 +11,6 @@ from halfgraph.constructions import (
     RecipeSearchError,
     clebsch_recipe_half,
     edge_halves,
-    edge_split,
     gewirtz_recipe_half,
     krivelevich_bound,
     m22_recipe_half,
@@ -52,25 +51,27 @@ def eligible_edges(g):
 
 def test_edge_split_pentagon():
     g = cycle(5)
-    s = edge_split(g, (0, 1))
-    assert (s.a1, s.a2, s.b) == (0b10010, 0b00101, 0b01000)
-    assert s.p1 == s.p2 == Fraction(1, 2)
-    assert edge_split(g, [0, 1]) == s
+    c1, c2 = edge_halves(g, (0, 1))
+    half = Fraction(1, 2)
+    assert c1.half.weights == (0, 1, 0, half, 1)
+    assert c2.half.weights == (1, 0, 1, half, 0)
+    assert c1.params["p"] == c2.params["p"] == half
+    assert edge_halves(g, [0, 1]) == (c1, c2)
 
 
 def test_edge_split_errors():
     g = cycle(5)
-    with pytest.raises(ValueError):
-        edge_split(g, (0, 2))  # not an edge
+    with pytest.raises(ValueError, match=r"^\(0, 2\) is not an edge$"):
+        edge_halves(g, (0, 2))
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(ValueError):
-        edge_split(star, (0, 1))  # e1 + e2 = 1: degenerate
+    with pytest.raises(ValueError, match=r"^degenerate split: e1 \+ e2 = 1 >= 1$"):
+        edge_halves(star, (0, 1))
     triangle = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError, match="common neighborhood not empty"):
-        edge_split(triangle, (0, 1))
+        edge_halves(triangle, (0, 1))
     slack_star = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3)])  # e1 = 3/5, e1 + e2 = 4/5
     with pytest.raises(ValueError, match="relative degree above 1/2"):
-        edge_split(slack_star, (0, 1))
+        edge_halves(slack_star, (0, 1))
 
 
 def test_edge_halves_petersen():
@@ -102,19 +103,18 @@ def test_split_combination_identity_on_small_graphs():
     # p2 * 2*beta(mu1) + p1 * 2*beta(mu2) == p1*p2*(rho - rho_{a1a2}), exactly
     for n in range(2, 8):
         for g in enumerate_triangle_free(n)[::3]:
-            for edge in eligible_edges(g):
-                s = edge_split(g, edge)
-                c1, c2 = edge_halves(g, edge)
-                lhs = s.p2 * 2 * c1.bound + s.p1 * 2 * c2.bound
-                rhs = s.p1 * s.p2 * (rho(g) - cross_density(g, s.a1, s.a2))
+            for v1, v2 in eligible_edges(g):
+                c1, c2 = edge_halves(g, (v1, v2))
+                p1, p2 = c1.params["p"], c2.params["p"]
+                lhs = p2 * 2 * c1.bound + p1 * 2 * c2.bound
+                rhs = p1 * p2 * (rho(g) - cross_density(g, g.adj[v1], g.adj[v2]))
                 assert lhs == rhs
 
 
 def _combined_split_bound(g, edge):
     """p2*beta(mu1) + p1*beta(mu2) of the edge's two halves: p1*p2*(rho - rho_{a1a2})/2."""
-    s = edge_split(g, edge)
     c1, c2 = edge_halves(g, edge)
-    return s.p2 * c1.bound + s.p1 * c2.bound
+    return c2.params["p"] * c1.bound + c1.params["p"] * c2.bound
 
 
 def test_clebsch_split_bound_is_27_over_1024_on_every_edge():
@@ -175,7 +175,7 @@ def test_maxdeg_certificates_are_pinned():
 
 
 def test_maxdeg_checks_its_closed_forms(monkeypatch):
-    monkeypatch.setattr(constructions, "part_density",
+    monkeypatch.setattr(halves, "part_density",
                         lambda g, x: part_density(g, x) + Fraction(1, g.n**2))
     with pytest.raises(CertificateError, match=r"^maxdeg: bound 3/98 != closed form "):
         maxdeg_halves(named("petersen").graph)

@@ -112,6 +112,16 @@ def test_independence_number_named():
     assert len(witness) == 5
 
 
+def test_independence_search_budget_boundary(monkeypatch):
+    # the search on the Petersen graph visits 11 nodes
+    monkeypatch.setattr(graphcore, "ALPHA_MAX_NODES", 11)
+    assert independence_number(petersen())[0] == 4
+    monkeypatch.setattr(graphcore, "ALPHA_MAX_NODES", 10)
+    with pytest.raises(graphcore.ResourceLimitError,
+                       match="^independence search exceeded 10 nodes$"):
+        independence_number(petersen())
+
+
 def test_independence_number_matches_brute_force():
     rng = random.Random(17)
     for _ in range(30):

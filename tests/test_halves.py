@@ -630,3 +630,35 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _half_building_calls(tree: ast.AST, module: str) -> set:
+    """(module, innermost function, callee) for each call of certificate or Half.from_masks."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "certificate"
+                    or isinstance(f, ast.Attribute) and f.attr == "certificate"):
+                found.add((module, function, "certificate"))
+            if isinstance(f, ast.Attribute) and f.attr == "from_masks":
+                found.add((module, function, "from_masks"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_two_builders_certify_a_half():
+    # every returned certificate is a mask (+ pivot) or a (top, rest, p) split
+    package = Path(halfgraph.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found |= _half_building_calls(ast.parse(path.read_text()), path.name)
+    builders = {"_mask_certificate", "_split_half"}
+    assert found == ({("halves.py", b, "certificate") for b in builders}
+                     | {("halves.py", b, "from_masks") for b in builders | {"beta_exact"}})

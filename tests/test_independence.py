@@ -1,15 +1,21 @@
 """Tests for the large-independence-number construction."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from halfgraph import halves
+from halfgraph.density import part_density
 from halfgraph.graphcore import (
     Graph,
+    _induced_edges,
+    _mask_of,
     blowup,
     complete_bipartite,
     cycle,
+    enumerate_triangle_free,
     independence_number,
     is_triangle_free,
     load_graph6,
@@ -92,6 +98,42 @@ def test_fractional_case_certificate():
     assert cert.bound == Fraction(59, 2880)
     assert cert.bound <= cert.params["analytic_bound"] == Fraction(3, 128)
     assert cert.bound == beta_of_half(g, cert.half)
+
+
+def test_fractional_case_checks_its_closed_form(monkeypatch):
+    monkeypatch.setattr(halves, "part_density",
+                        lambda g, x: part_density(g, x) + Fraction(1, g.n**2))
+    with pytest.raises(CertificateError, match=r"^independence: bound \S+ != closed form "):
+        independence_half(pivotless_gadget())
+
+
+@pytest.fixture(scope="module")
+def even_order_certificates():
+    """(graph, certificate) for every class with n in {2, 4, 6, 8} and five named SRGs."""
+    graphs = [g for n in (2, 4, 6, 8) for g in enumerate_triangle_free(n)]
+    graphs += [named(x).graph
+               for x in ("petersen", "clebsch", "hoffman_singleton", "gewirtz", "higman_sims")]
+    return [(g, independence_half(g)) for g in graphs]
+
+
+def test_independence_certificates_are_pinned(even_order_certificates):
+    # 454 inside-independent-set, 7 greedy-filled, 1 pivot-fan
+    lines = [f"{c.params['case']} {c.bound} " + ",".join(str(w) for w in c.half.weights)
+             for _, c in even_order_certificates]
+    assert len(lines) == 462
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest.startswith("ce5c05b5afa62f4b")
+
+
+def test_mask_cases_carry_their_induced_edge_count(even_order_certificates):
+    cases = set()
+    for g, cert in even_order_certificates:
+        cases.add(cert.params["case"])
+        assert cert.half.weights.count(1) == len(cert.half.support()) == g.n // 2
+        mask = _mask_of(cert.half.support())
+        assert cert.params["induced_edges"] == _induced_edges(g.adj, mask)
+        assert cert.bound == Fraction(cert.params["induced_edges"], g.n**2)
+    assert cases == {"inside-independent-set", "greedy-filled", "pivot-fan"}
 
 
 def test_input_validation(monkeypatch):
