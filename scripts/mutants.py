@@ -130,6 +130,18 @@ MUTANTS = [
         "+ inside * k >= own",
         [GRAPHCORE_TESTS + "test_enumeration_counts"],
     ),
+    (  # S(3,6,22) without the transvection: H0's orbit shrinks to 1 hyperoval
+        GRAPHCORE,
+        "for rows in (((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0)",
+        "for rows in (((0, 1, 0)",
+        [GRAPHCORE_TESTS + "test_named_graph6_is_pinned"],
+    ),
+    (  # S(3,6,22) from the second hyperoval, the first without point 10: other bytes, still SRGs
+        GRAPHCORE,
+        "if not arc >> p & 1",
+        "if not (arc | 1 << 10) >> p & 1",
+        [GRAPHCORE_TESTS + "test_named_graph6_is_pinned"],
+    ),
     (  # twin rule dropped: every twin may enter the half out of order
         HALVES,
         "if mask & twin_bit[index] == twin_bit[index]:",

@@ -35,7 +35,7 @@ from .graphcore import (
     named,
     save_graph6,
 )
-from .halves import beta_exact, local_search_half
+from .halves import HalfError, beta_exact, local_search_half
 from .independence import independence_half
 from .report import dump_report
 from .verify import SECTIONS, run
@@ -99,11 +99,17 @@ def cmd_beta(args) -> int:
         print(f"bound = {krivelevich_bound(g)}")
         return 0
     if method == "edge":
-        edges = g.edges()
-        if not edges:
-            raise ValueError("graph has no edges")
-        c1, c2 = edge_halves(g, edges[0])
-        cert = c1 if c1.bound <= c2.bound else c2
+        errors = []
+        for edge in g.edges():  # the first edge whose split edge_halves accepts
+            try:
+                cert = min(edge_halves(g, edge), key=lambda c: c.bound)
+                break
+            except HalfError:
+                raise
+            except ValueError as err:
+                errors.append(err)
+        else:
+            raise errors[0] if errors else ValueError("graph has no edges")
     elif method == "maxdeg":
         cert = maxdeg_halves(g)
     elif method == "triple":

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import inf
-
-from . import _named_data
 
 
 ENUM_MAX_N = 10  # enumerate_triangle_free refuses larger levels instead of running unbounded
@@ -851,14 +849,71 @@ def hoffman_singleton() -> Graph:
     return Graph.from_edges(50, {tuple(sorted(e)) for e in edges})
 
 
+@lru_cache(maxsize=None)
+def _steiner_blocks() -> tuple[int, ...]:
+    """The 77 blocks of the Steiner system S(3,6,22) as point masks, sorted as point lists.
+
+    Points 0..20 are PG(2,4), the triples over GF(4) (w = 2, w^2 = w + 1 = 3)
+    whose first nonzero entry is 1, in lexicographic order; point 21 is the
+    extension point. The blocks are the 21 lines plus point 21, and the 56
+    hyperovals that meet H0, the lexicographically first hyperoval, in an
+    even number of points: H0's orbit under the SL(3,4) matrices I + E12, the
+    3-cycle permutation matrix and diag(w, w^2, 1). H0 is built greedily, as
+    every arc of at most 5 points of PG(2,4) lies in a hyperoval.
+    """
+    mul = ((0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))
+    dot = lambda a, b: mul[a[0]][b[0]] ^ mul[a[1]][b[1]] ^ mul[a[2]][b[2]]
+    normal = lambda v: tuple(mul[(0, 1, 3, 2)[next(c for c in v if c)]][c] for c in v)
+    points = [t for t in product(range(4), repeat=3) if next((c for c in t if c), 0) == 1]
+    index = {t: i for i, t in enumerate(points)}
+    lines = [_mask_of(i for i, t in enumerate(points) if not dot(f, t)) for f in points]
+    arc = 0
+    for _ in range(6):  # the least point that keeps an arc
+        arc |= 1 << next(p for p in range(21) if not arc >> p & 1
+                         and all((line & (arc | 1 << p)).bit_count() < 3 for line in lines))
+    perms = [[index[normal([dot(r, t) for r in rows])] for t in points]
+             for rows in (((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+                          ((2, 0, 0), (0, 3, 0), (0, 0, 1)))]
+    orbit = [arc]
+    for h in orbit:  # the list grows until it holds H0's orbit
+        orbit += {_mask_of(perm[v] for v in _bits(h)) for perm in perms}.difference(orbit)
+    return tuple(sorted([line | 1 << 21 for line in lines] + orbit,
+                        key=lambda b: list(_bits(b))))
+
+
+def _disjoint_rows(blocks, shift: int = 0) -> list[int]:
+    """Row i has bit shift + j for every block j disjoint from block i."""
+    return [_mask_of(shift + j for j, b in enumerate(blocks) if not a & b) for a in blocks]
+
+
+def gewirtz() -> Graph:
+    """The 56 blocks of S(3,6,22) avoiding point 21; adjacent iff disjoint."""
+    return Graph(56, _disjoint_rows([b for b in _steiner_blocks() if not b >> 21 & 1]))
+
+
+def m22() -> Graph:
+    """The 77 blocks of S(3,6,22); adjacent iff disjoint."""
+    return Graph(77, _disjoint_rows(_steiner_blocks()))
+
+
+def higman_sims() -> Graph:
+    """Apex 0, points 1..22 and blocks 23..99 of S(3,6,22); the apex sees each point,
+    a point the blocks holding it, and a block the blocks disjoint from it."""
+    blocks = _steiner_blocks()
+    rows = [((1 << 22) - 1) << 1]
+    rows += [1 | _mask_of(23 + j for j, b in enumerate(blocks) if b >> p & 1) for p in range(22)]
+    rows += [b << 1 | row for b, row in zip(blocks, _disjoint_rows(blocks, 23))]
+    return Graph(100, rows)
+
+
 _NAMED_SPECS: dict[str, tuple] = {
     "c5": (lambda: cycle(5), (5, 2, 0, 1)),
     "petersen": (petersen, (10, 3, 0, 1)),
     "clebsch": (clebsch, (16, 5, 0, 2)),
     "hoffman_singleton": (hoffman_singleton, (50, 7, 0, 1)),
-    "gewirtz": (lambda: load_graph6(_named_data.GEWIRTZ_G6), (56, 10, 0, 2)),
-    "m22": (lambda: load_graph6(_named_data.M22_G6), (77, 16, 0, 4)),
-    "higman_sims": (lambda: load_graph6(_named_data.HIGMAN_SIMS_G6), (100, 22, 0, 6)),
+    "gewirtz": (gewirtz, (56, 10, 0, 2)),
+    "m22": (m22, (77, 16, 0, 4)),
+    "higman_sims": (higman_sims, (100, 22, 0, 6)),
 }
 
 NAMED_GRAPH_NAMES = tuple(_NAMED_SPECS)

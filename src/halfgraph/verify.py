@@ -492,12 +492,15 @@ SRG_CASES = [
     Check("srg.q1_c2_clebsch",
           "q=1, c=2 (Clebsch): neighborhood-union half certifies <= 1/50",
           _at_most_fiftieth(lambda: clebsch_recipe_half(named("clebsch")).bound)),
-    Check("srg.q2_c2_gewirtz", "q=2, c=2 (Gewirtz): recipe half certifies <= 1/50",
+    Check("srg.q2_c2_gewirtz", "q=2, c=2 (Gewirtz): recipe half certifies <= 1/50; "
+          "Gewirtz is the only SRG(56, 10, 0, 2) (A. Gewirtz, 1969)",
           _at_most_fiftieth(lambda: gewirtz_recipe_half(named("gewirtz")).bound)),
-    Check("srg.q2_c4_m22", "q=2, c=4 (M22): recipe half certifies <= 1/50",
+    Check("srg.q2_c4_m22", "q=2, c=4 (M22): recipe half certifies <= 1/50; "
+          "M22 is the only SRG(77, 16, 0, 4) (A. E. Brouwer, 1983)",
           _at_most_fiftieth(lambda: m22_recipe_half(named("m22")).bound)),
     Check("srg.q2_c6_higman_sims",
-          "q=2, c=6 (Higman-Sims): local search certifies <= 1/50 - 10^-4", _higman_sims),
+          "q=2, c=6 (Higman-Sims): local search certifies <= 1/50 - 10^-4; Higman-Sims "
+          "is the only SRG(100, 22, 0, 6) (A. Gewirtz, 1969)", _higman_sims),
     Check("srg.q2_c3_excluded",
           "q=2, c=3: ruled out by known arithmetic conditions (assumption)",
           lambda _seed: ("assumed", "excluded by literature (not computed)", True)),

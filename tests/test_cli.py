@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from halfgraph import cli
 from halfgraph.cli import main
 from halfgraph.exactmath import ExactDivisionError
 from halfgraph.graphcore import load_graph6, named, save_graph6
+from halfgraph.halves import HalfError
 
 
 def _is_exact(text):
@@ -83,6 +85,35 @@ def test_beta_bound_edge_and_independence(capsys):
     assert main(["beta", "bound", "--method", "independence", "--named", "petersen"]) == 0
     out = capsys.readouterr().out
     assert "bound =" in out
+
+
+def test_beta_bound_edge_takes_the_first_edge_that_qualifies(tmp_path, capsys):
+    # Es_G: vertex 0 joined to 1-4, plus the edge 4-5; edge (0, 1) has
+    # relative degree 2/3 at vertex 0, edge (4, 5) qualifies
+    (tmp_path / "g.g6").write_text("Es_G\n")
+    assert main(["beta", "bound", "--method", "edge", "--file", str(tmp_path / "g.g6")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "bound = 0"
+
+
+def test_beta_bound_edge_with_no_qualifying_edge_reports_the_first(tmp_path, capsys):
+    (tmp_path / "k2.g6").write_text("A_\n")
+    assert main(["beta", "bound", "--method", "edge", "--file", str(tmp_path / "k2.g6")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: degenerate split: e1 + e2 = 1 >= 1\n"
+
+
+def test_beta_bound_edge_does_not_skip_a_broken_half(capsys, monkeypatch):
+    real = cli.edge_halves
+
+    def broken_on_the_first_edge(g, edge):
+        if edge == g.edges()[0]:
+            raise HalfError("weights out of range")
+        return real(g, edge)
+
+    monkeypatch.setattr(cli, "edge_halves", broken_on_the_first_edge)
+    assert main(["beta", "bound", "--method", "edge", "--named", "petersen"]) == 1
+    assert capsys.readouterr().err == "error: weights out of range\n"
 
 
 def test_beta_bound_triple_precondition_surfaces(capsys):

@@ -899,6 +899,54 @@ def test_named_examples():
     assert named("higman_sims").graph.edge_count() == 1100
 
 
+def test_named_graph6_is_pinned():
+    # sha256 of save_graph6 for each named graph: the certificates, report
+    # rows and CI digests of the named graphs rest on these exact labellings
+    pins = {
+        "c5": "36140b971bbe87e934a4d8d6a3e5cddfde8595d587f031ad1b2b31b911492a9b",
+        "petersen": "9c6aad3a907da31b922b5564f9e558d76226a0514ac6944fc5c28a97ded40e4d",
+        "clebsch": "f74bf9133c90a25b2b072d8dcedfaa7405fadab8277dfed52394e8a09dfe081b",
+        "hoffman_singleton": "d0e6d87cb8ec7162737ca4e0fd309423a38bbdd4361860cd70fb1c89d1589f8e",
+        "gewirtz": "2710c1a38db941f781c8b57f4aaaa58cff5a9e2dad102733a04b4b5d34d4cc7f",
+        "m22": "633ce38ea3a9f1164f4549fb16dc2bc6a10a1ce8d3189889911e9fc6850fd553",
+        "higman_sims": "7650659c5d8e05b93eb264e9bcb2edc14c51fb61b26fdb90dceb59f158461447",
+    }
+    assert set(pins) == set(NAMED_GRAPH_NAMES)
+    for name, digest in pins.items():
+        assert hashlib.sha256(save_graph6(named(name).graph).encode()).hexdigest() == digest
+
+
+def test_steiner_blocks_form_s_3_6_22():
+    blocks = graphcore._steiner_blocks()
+    assert len(blocks) == 77
+    assert all(b.bit_count() == 6 and b < 1 << 22 for b in blocks)
+    covering = [sum(all(b >> p & 1 for p in t) for b in blocks)
+                for t in combinations(range(22), 3)]
+    assert len(covering) == 1540 and set(covering) == {1}
+    assert sum(not b >> 21 & 1 for b in blocks) == 56
+
+
+def test_hyperoval_orbit_is_the_even_class_of_the_exhaustive_search():
+    # PG(2,4) built independently (w = 2, w^2 = w + 1 = 3), all 168 hyperovals by
+    # brute force, and the class of the first: those meeting it evenly
+    mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
+    points = [(x, y, z) for x in range(4) for y in range(4) for z in range(4)
+              if [c for c in (x, y, z) if c][:1] == [1]]
+    lines = {sum(1 << i for i, q in enumerate(points)
+                 if not mul[f[0]][q[0]] ^ mul[f[1]][q[1]] ^ mul[f[2]][q[2]]) for f in points}
+    assert len(points) == len(lines) == 21
+    ovals = [sum(1 << p for p in c) for c in combinations(range(21), 6)]
+    ovals = [o for o in ovals if all((o & line).bit_count() <= 2 for line in lines)]
+    assert len(ovals) == 168
+    h0 = ovals[0]
+    assert (ovals[1] & h0).bit_count() == 3  # the next hyperoval lies in another class
+    even = {o for o in ovals if (o & h0).bit_count() % 2 == 0}
+    blocks = graphcore._steiner_blocks()
+    assert {b for b in blocks if not b >> 21 & 1} == even
+    assert {b & ~(1 << 21) for b in blocks if b >> 21 & 1} == lines
+    assert list(blocks) == sorted(blocks, key=lambda b: [p for p in range(22) if b >> p & 1])
+
+
 def test_named_unknown():
     with pytest.raises(ValueError):
         named("heawood")
