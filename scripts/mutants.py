@@ -148,6 +148,24 @@ MUTANTS = [
         "if True:",
         [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
     ),
+    (  # the root's exclude subtree cut on every graph, with no proof of symmetry
+        HALVES,
+        "if nodes <= 3 * classes * classes or not _transitive_blowup(adj):",
+        "if False:",
+        [HALVES_TESTS + "test_warm_started_search_matches_the_cold_oracle"],
+    ),
+    (  # the cost rule dropped: symmetry is proved, and Clebsch's exclude subtree cut, at once
+        HALVES,
+        "if nodes <= 3 * classes * classes or not _transitive_blowup(adj):",
+        "if not _transitive_blowup(adj):",
+        [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
+    ),
+    (  # the symmetry proof lifts the quotient's automorphisms to twin classes of unequal size
+        HALVES,
+        "    if len({mask.bit_count() for mask in masks}) > 1:\n        return False\n",
+        "",
+        [HALVES_TESTS + "test_root_cut_declines_a_regular_graph_with_unequal_twin_classes"],
+    ),
     (  # completion bound weakened: one gain fewer than the vertices still needed
         HALVES,
         "sum(gains[:need])",

@@ -20,7 +20,9 @@ from .graphcore import (
     IntegrityError,
     ResourceLimitError,
     _bits,
+    _canonize,
     _induced_edges,
+    _lowest_per_orbit,
     _mask_of,
     srg_parameters,
 )
@@ -182,6 +184,30 @@ def _odd_cost(adj, n: int, mask: int) -> tuple[int, int]:
     return min(((adj[v] & mask).bit_count(), v) for v in range(n) if not mask >> v & 1)
 
 
+def _transitive_blowup(adj) -> bool:
+    """Whether the automorphisms `_canonize` meets on the twin quotient move one class to all.
+
+    Twins have equal rows and are never adjacent.  When the graph is regular
+    and every twin class has t vertices, it is the blow-up Q[t] of its twin
+    quotient Q (one vertex per class, adjacent as their classes are), and
+    every automorphism of Q lifts to it by mapping each class onto its image
+    class.  So True proves the graph vertex-transitive; False proves nothing.
+    """
+    if len({row.bit_count() for row in adj}) > 1:
+        return False
+    classes = {}
+    for v, row in enumerate(adj):
+        classes[row] = classes.get(row, 0) | 1 << v
+    masks = list(classes.values())
+    if len({mask.bit_count() for mask in masks}) > 1:
+        return False
+    quotient = [_mask_of(j for j, mask in enumerate(masks) if row & mask) for row in classes]
+    # Q is regular too, so it has no isolated vertex unless it is one vertex, and
+    # `_canonize` returns its automorphisms in Q's own labels
+    vertices = [1 << i for i in range(len(quotient))]
+    return len(_lowest_per_orbit(vertices, _canonize(quotient)[2])) == 1
+
+
 def beta_exact(g: Graph):
     """Exact beta(G) with a 0-1 (even n) or almost-0-1 (odd n) witness half.
 
@@ -211,6 +237,24 @@ def beta_exact(g: Graph):
     path has bound <= opt < best, and that leaf replaces the incumbent as in
     the cold search.  If the incumbent is already optimal, D is not lower and
     the search runs as it would cold.
+
+    Symmetry at the root: once the root's include subtree (order[0] in the
+    half) has returned, its exclude subtree is skipped when
+    `_transitive_blowup` proves the graph vertex-transitive.  An automorphism
+    that moves a vertex of an optimal half onto order[0] maps that half onto
+    an optimal half containing order[0], with the same value (for odd n the
+    half-weight vertex's cost moves with it).  Every leaf that contains
+    order[0] comes before every leaf that does not, so the first optimal
+    leaf, which the twin-prefix rule and the warm start both keep, lies in
+    the include subtree.  The exclude subtree holds only later leaves, which
+    never replace an optimal incumbent, so the value, the witness and its
+    half-weight vertex are unchanged; if the starting incumbent is optimal,
+    neither subtree replaces it.  Canonizing the twin quotient of q classes
+    costs about as much as 3q^2 search nodes (about 3.6 us per q^2 against
+    1.1 us per node), so the proof is tried only when the include subtree
+    has visited more than 3q^2 nodes: Petersen (67 nodes) and Clebsch
+    (1,143) never pay for it, and blowup(petersen, 3) goes from 3,999 to
+    1,957 nodes.
     """
     n, adj = g.n, g.adj
     if n > EXACT_MAX_N:
@@ -242,8 +286,6 @@ def beta_exact(g: Graph):
         if value < best_doubled:
             best_doubled, best_mask = value + 1, None
 
-    nodes = 0
-
     def walk(index: int, mask: int, size: int, edges: int, gains: list[int] | None):
         nonlocal nodes, best_doubled, best_mask
         nodes += 1
@@ -267,7 +309,12 @@ def beta_exact(g: Graph):
         gains.remove(gain)
         walk(index + 1, mask, size, edges, gains)
 
-    walk(0, 0, 0, 0, None)
+    nodes = 1  # the root: mask 0 and bound 0, so it is cut only when best_doubled is 0
+    if half_size and best_doubled:
+        walk(1, 1 << order[0], 1, 0, None)
+        classes = len(last_seen)
+        if nodes <= 3 * classes * classes or not _transitive_blowup(adj):
+            walk(1, 0, 0, 0, [0] * (n - 1))
     pairs = [(best_mask, 1)]
     if odd:
         pairs.append((1 << _odd_cost(adj, n, best_mask)[1], Fraction(1, 2)))

@@ -21,9 +21,11 @@ from halfgraph.graphcore import (
     _bits,
     _induced_edges as _subset_edges,
     blowup,
+    canonical_key,
     cycle,
     empty,
     enumerate_triangle_free,
+    is_triangle_free,
     named,
     petersen,
 )
@@ -34,6 +36,7 @@ from halfgraph.halves import (
     ResourceLimitError,
     _edge_floor,
     _steepest_descent,
+    _transitive_blowup,
     beta_exact,
     beta_of_half,
     certificate,
@@ -440,12 +443,17 @@ def test_warm_started_search_matches_the_cold_oracle():
     assert warm_parities == {0, 1}
 
 
-@pytest.mark.parametrize("g, nodes", [(blowup(petersen(), 3), 3_999), (blowup(cycle(5), 5), 1_069)],
-                         ids=["petersen x3", "c5 x5"])
-def test_branch_and_bound_node_counts_are_pinned(g, nodes, monkeypatch):
+@pytest.mark.parametrize("g, value, nodes", [
+    # the root's exclude subtree is cut: 3,999 and 1,069 nodes without the cut
+    (blowup(petersen(), 3), Fraction(1, 50), 1_957),
+    (blowup(cycle(5), 5), Fraction(1, 50), 656),
+    # the include subtree's 568 nodes are below 3 * 16^2, so symmetry is never tried
+    (named("clebsch").graph, Fraction(1, 64), 1_143),
+], ids=["petersen x3", "c5 x5", "clebsch"])
+def test_branch_and_bound_node_counts_are_pinned(g, value, nodes, monkeypatch):
     # a weaker completion bound would visit more nodes with the same value and witness
     monkeypatch.setattr(halves, "MAX_NODES", nodes)
-    assert beta_exact(g)[0] == Fraction(1, 50)
+    assert beta_exact(g)[0] == value
     monkeypatch.setattr(halves, "MAX_NODES", nodes - 1)
     with pytest.raises(ResourceLimitError):
         beta_exact(g)
@@ -455,6 +463,132 @@ def test_beta_exact_pinned_witness_of_the_c5_blowup():
     value, witness = beta_exact(blowup(cycle(5), 6))
     assert value == Fraction(1, 50)
     assert witness.support() == (*range(9), *range(18, 24))
+
+
+@pytest.mark.parametrize("name, t, value, support, half_vertices", [
+    ("c5", 4, Fraction(1, 50), (*range(6), *range(12, 16)), []),
+    ("c5", 5, Fraction(1, 50), (*range(8), *range(15, 20)), [7]),
+    ("petersen", 2, Fraction(1, 50), tuple(range(10)), []),
+    ("petersen", 3, Fraction(1, 50), tuple(range(15)), []),
+    ("clebsch", 2, Fraction(1, 64), (*range(4), *range(12, 16), *range(20, 28)), []),
+])
+def test_beta_exact_pinned_witnesses_of_vertex_transitive_blowups(name, t, value, support,
+                                                                  half_vertices):
+    # the witnesses before the root's exclude subtree was cut; c5 x6 is pinned above
+    g = blowup(named(name).graph, t)
+    assert _transitive_blowup(g.adj)
+    got, witness = beta_exact(g)
+    assert got == value
+    assert witness.support() == support
+    assert [v for v, w in enumerate(witness.weights) if w == Fraction(1, 2)] == half_vertices
+
+
+def _circulant(n, steps):
+    return Graph.from_edges(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in steps})
+
+
+def _triangle_free_circulants(max_n):
+    """One circulant C(n; S) per isomorphism class, S a nonempty subset of 1..n//2."""
+    seen = set()
+    for n in range(3, max_n + 1):
+        for r in range(1, n // 2 + 1):
+            for steps in combinations(range(1, n // 2 + 1), r):
+                g = _circulant(n, steps)
+                if not is_triangle_free(g):
+                    continue
+                key = canonical_key(g)
+                if key not in seen:
+                    seen.add(key)
+                    yield g
+
+
+def test_root_cut_matches_the_oracle_on_triangle_free_circulants(monkeypatch):
+    proved = []
+
+    def spy(adj):
+        proved.append(_transitive_blowup(adj))
+        return proved[-1]
+
+    monkeypatch.setattr(halves, "_transitive_blowup", spy)
+    for g in _triangle_free_circulants(20):
+        assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
+    # the cut must run, or the comparison above tests only the full search; it runs on 20 of
+    # the 142 classes
+    assert proved.count(True) >= 10
+
+
+def _with_pendant(g, v):
+    rows = [*g.adj, 1 << v]
+    rows[v] |= 1 << g.n
+    return Graph(g.n + 1, rows)
+
+
+def _is_vertex_transitive(g):
+    """Orbit oracle for a regular graph: G plus a pendant vertex at v is one class for every v."""
+    return len({canonical_key(_with_pendant(g, v)) for v in range(g.n)}) == 1
+
+
+def _blown_up_cycle(sizes):
+    """The cycle C_len(sizes) with its i-th vertex replaced by sizes[i] non-adjacent twins."""
+    starts = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    classes = [range(a, b) for a, b in zip(starts, starts[1:])]
+    return Graph.from_edges(starts[-1], [(u, v) for i, cls in enumerate(classes)
+                                         for u in cls for v in classes[i - 1]])
+
+
+@pytest.mark.parametrize("g", [
+    # C4 + C6 is 2-regular; C4's twin classes have 2 vertices and C6's have 1
+    Graph.from_edges(10, [(i, (i + 1) % 4) for i in range(4)]
+                     + [(4 + i, 4 + (i + 1) % 6) for i in range(6)]),
+    # 3-regular with a vertex-transitive twin quotient C8, yet only some vertices have a twin
+    _blown_up_cycle((1, 1, 2, 2, 1, 1, 2, 2)),
+], ids=["c4 + c6", "c8 blown up by 1, 1, 2, 2, 1, 1, 2, 2"])
+def test_root_cut_declines_a_regular_graph_with_unequal_twin_classes(g):
+    assert len({row.bit_count() for row in g.adj}) == 1
+    assert not _is_vertex_transitive(g)
+    assert not _transitive_blowup(g.adj)
+    assert beta_exact(g) == _oracle_beta_branch_bound(g, 20_000_000)
+
+
+def _random_regular_triangle_free(rng, n):
+    """C(n; 1), C(n; 1, 3) or C(n; 1, n/2), then 10n tries of a random edge switch.
+
+    A switch replaces edges ab, cd by ac, bd; it keeps every degree and is
+    kept only when it closes no triangle.
+    """
+    rows = list(_circulant(n, rng.choice([(1,), (1, 3)] + [(1, n // 2)] * (1 - n % 2))).adj)
+    edges = [(u, v) for u in range(n) for v in _bits(rows[u]) if u < v]
+    for _ in range(10 * n):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], rng.choice([edges[j], edges[j][::-1]])
+        if len({a, b, c, d}) < 4 or rows[a] >> c & 1 or rows[b] >> d & 1:
+            continue
+        # the new edges ac and bd close a triangle through a common neighbour left after the switch
+        if rows[a] & rows[c] & ~(1 << b | 1 << d) or rows[b] & rows[d] & ~(1 << a | 1 << c):
+            continue
+        rows[a] ^= 1 << b | 1 << c
+        rows[b] ^= 1 << a | 1 << d
+        rows[c] ^= 1 << d | 1 << a
+        rows[d] ^= 1 << c | 1 << b
+        edges[i], edges[j] = (a, c), (b, d)
+    return Graph(n, rows)
+
+
+def test_the_symmetry_proof_never_accepts_a_graph_the_orbit_oracle_rejects():
+    graphs = [g for n in range(1, 11) for g in enumerate_triangle_free(n)
+              if len({row.bit_count() for row in g.adj}) == 1]
+    rng = random.Random(71)
+    graphs += [_random_regular_triangle_free(rng, rng.randint(12, 20)) for _ in range(100)]
+    graphs += [blowup(named(name).graph, t) for name, t in
+               (("c5", 4), ("c5", 5), ("c5", 6), ("petersen", 2), ("petersen", 3), ("clebsch", 2))]
+    verdicts = []
+    for g in graphs:
+        assert is_triangle_free(g) and len({row.bit_count() for row in g.adj}) == 1
+        proved, transitive = _transitive_blowup(g.adj), _is_vertex_transitive(g)
+        assert transitive or not proved, g.edges()
+        verdicts.append((proved, transitive))
+    # both kinds of graph occur, so the check above is not vacuous
+    assert (False, False) in verdicts and (True, True) in verdicts
 
 
 def test_beta_exact_twin_pruning_fits_a_small_budget(monkeypatch):
