@@ -166,10 +166,16 @@ MUTANTS = [
         "",
         [HALVES_TESTS + "test_root_cut_declines_a_regular_graph_with_unequal_twin_classes"],
     ),
-    (  # completion bound weakened: one gain fewer than the vertices still needed
+    (  # completion bound weakened: each gain level counts one vertex fewer
         HALVES,
-        "sum(gains[:need])",
-        "sum(gains[:need - 1])",
+        "over = (rest & level).bit_count() - slack",
+        "over = (rest & level).bit_count() - slack - 1",
+        [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
+    ),
+    (  # an include child keeps its parent's number of gain levels: no new top level
+        HALVES,
+        "            if below & row:\n                grown.append(below & row)\n",
+        "",
         [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
     ),
     (  # odd n: the half-weight vertex of greatest cost instead of least

@@ -158,14 +158,19 @@ def _mask_certificate(g: Graph, method: str, mask: int, edges: int, params) -> B
     return cert
 
 
+def _split_value(g: Graph, top: int, rest: int, p) -> Fraction:
+    """rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest: beta of weight 1 on top and p on rest."""
+    return (part_density(g, top) + p * cross_density(g, top, rest) / 2
+            + p**2 * part_density(g, rest))
+
+
 def _split_half(g: Graph, method: str, top: int, rest: int, p, params) -> BoundCertificate:
     """The half with weight 1 on `top` and p on `rest`, certified against its closed form.
 
-    The recomputed bound must equal rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest.
+    The recomputed bound must equal `_split_value(g, top, rest, p)`.
     """
     cert = certificate(g, method, Half.from_masks(g.n, [(top, 1), (rest, p)]), params)
-    closed_form = (part_density(g, top) + p * cross_density(g, top, rest) / 2
-                   + p**2 * part_density(g, rest))
+    closed_form = _split_value(g, top, rest, p)
     require(cert.bound == closed_form,
             f"{method}: bound {cert.bound} != closed form {closed_form}")
     return cert
@@ -225,8 +230,20 @@ def beta_exact(g: Graph):
     value, so the first optimal leaf is never cut and the witness is unchanged;
     on blow-ups this cuts the nodes (blowup(C5, 6): 90,803 -> 906).
     A node is cut when its edges plus the `need` smallest edge gains of the
-    vertices left reach the incumbent.  The exclude child has the same mask,
-    so it takes its parent's sorted gains less the gain of order[index].
+    vertices left reach the incumbent.  The gains are nested masks: levels[j]
+    holds the vertices with more than j neighbours in the mask.  Including a
+    vertex with row r gives levels[0] | r and levels[j] | levels[j-1] & r,
+    plus a new top level levels[-1] & r when that is non-zero; the exclude
+    child has the same mask and passes its parent's list on.  Let R be the
+    vertices left, left[index], and slack = |R| - need.  The |R & levels[j]|
+    vertices of R with gain > j hold the largest gains, and all but `slack`
+    of them are among the `need` smallest, so summing over the levels a
+    vertex counts in gives the `need` smallest gains as
+    sum_j max(0, |R & levels[j]| - slack).  The levels are nested, so the
+    terms never grow and the sum stops at the first term <= 0.  Every node
+    gets the bound that sorting its gains would give, so the search visits
+    the same nodes and finds the same value and witness, at one popcount
+    per level and no sort.
 
     Warm start: when the incumbent has edges, one steepest descent from it
     gives a half of doubled value D (with its half-weight cost for odd n).
@@ -250,11 +267,11 @@ def beta_exact(g: Graph):
     never replace an optimal incumbent, so the value, the witness and its
     half-weight vertex are unchanged; if the starting incumbent is optimal,
     neither subtree replaces it.  Canonizing the twin quotient of q classes
-    costs about as much as 3q^2 search nodes (about 3.6 us per q^2 against
-    1.1 us per node), so the proof is tried only when the include subtree
-    has visited more than 3q^2 nodes: Petersen (67 nodes) and Clebsch
-    (1,143) never pay for it, and blowup(petersen, 3) goes from 3,999 to
-    1,957 nodes.
+    costs about 3.6 us per q^2, as much as about 5q^2 search nodes at
+    0.7 us a node.  The proof is tried only when the include subtree has
+    visited more than 3q^2 nodes: Petersen (67 nodes) and Clebsch (1,143)
+    never pay for it, and blowup(petersen, 3) goes from 3,999 to 1,957
+    nodes.
     """
     n, adj = g.n, g.adj
     if n > EXACT_MAX_N:
@@ -286,7 +303,12 @@ def beta_exact(g: Graph):
         if value < best_doubled:
             best_doubled, best_mask = value + 1, None
 
-    def walk(index: int, mask: int, size: int, edges: int, gains: list[int] | None):
+    # left[i]: the vertices order[i:] that are still undecided at position i
+    left = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        left[i] = left[i + 1] | 1 << order[i]
+
+    def walk(index: int, mask: int, size: int, edges: int, levels: list[int]):
         nonlocal nodes, best_doubled, best_mask
         nodes += 1
         if nodes > max_nodes:
@@ -297,24 +319,37 @@ def beta_exact(g: Graph):
             if value < best_doubled:
                 best_doubled, best_mask = value, mask
             return
-        if n - index < need:
+        slack = n - index - need
+        if slack < 0:
             return
-        if gains is None:
-            gains = sorted([(r & mask).bit_count() for r in rows[index:]])
-        if 2 * (edges + sum(gains[:need])) >= best_doubled:
+        rest = left[index]
+        bound = edges
+        for level in levels:
+            over = (rest & level).bit_count() - slack
+            if over <= 0:
+                break
+            bound += over
+        if 2 * bound >= best_doubled:
             return
-        gain = (rows[index] & mask).bit_count()
+        row = rows[index]
         if mask & twin_bit[index] == twin_bit[index]:
-            walk(index + 1, mask | (1 << order[index]), size + 1, edges + gain, None)
-        gains.remove(gain)
-        walk(index + 1, mask, size, edges, gains)
+            grown = []
+            below = -1
+            for level in levels:
+                grown.append(level | below & row)
+                below = level
+            if below & row:
+                grown.append(below & row)
+            walk(index + 1, mask | (1 << order[index]), size + 1,
+                 edges + (row & mask).bit_count(), grown)
+        walk(index + 1, mask, size, edges, levels)
 
     nodes = 1  # the root: mask 0 and bound 0, so it is cut only when best_doubled is 0
     if half_size and best_doubled:
-        walk(1, 1 << order[0], 1, 0, None)
+        walk(1, 1 << order[0], 1, 0, [rows[0]])
         classes = len(last_seen)
         if nodes <= 3 * classes * classes or not _transitive_blowup(adj):
-            walk(1, 0, 0, 0, [0] * (n - 1))
+            walk(1, 0, 0, 0, [])
     pairs = [(best_mask, 1)]
     if odd:
         pairs.append((1 << _odd_cost(adj, n, best_mask)[1], Fraction(1, 2)))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits, _induced_edges, _mask_of, independence_number
-from .halves import BoundCertificate, _mask_certificate, _split_half, require
+from .halves import BoundCertificate, _mask_certificate, _split_half, _split_value, require
 
 
 def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -> int:
@@ -45,7 +45,8 @@ def independence_half(g: Graph) -> BoundCertificate:
     maximum set; a search past `graphcore.ALPHA_MAX_NODES` nodes raises
     ResourceLimitError), cut to its n/2 lowest vertices, so alpha = min(alpha(G),
     1/2).  Each half is certified by `_mask_certificate` (recording the
-    `induced_edges` counted here) or, in the fractional case, `_split_half`; the
+    `induced_edges` counted here) or, in the fractional case, by `_split_half`
+    for the first pivot whose closed form `_split_value` is least; the
     analytic guarantee (alpha/2)(1/2 - alpha) rides in params, along with an
     `outside_hypothesis` flag when alpha < 3/8 (the construction still runs,
     the guarantee just is not asserted).
@@ -109,8 +110,9 @@ def independence_half(g: Graph) -> BoundCertificate:
         return _mask_certificate(g, "independence", half_mask, _induced_edges(g.adj, half_mask),
                                  {**base_params, "case": "pivot-fan", "p_b": p_b, "pivot": pivot})
 
-    # no pivot reaches the reservoir strongly: weight the rest fractionally
-    best: BoundCertificate | None = None
+    # no pivot reaches the reservoir strongly: weight the rest fractionally,
+    # rank the pivots by the closed form and certify only the first minimum
+    best = None
     for v0 in _bits(b_mask):
         fan_mask = g.adj[v0] & d_mask
         rest_mask = d_mask & ~fan_mask
@@ -120,12 +122,13 @@ def independence_half(g: Graph) -> BoundCertificate:
         require(p_f != 0 or numer == 0, "empty remainder with weight left to place")
         p = numer / p_f if p_f else Fraction(0)
         require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
-        cert = _split_half(g, "independence", b_mask | fan_mask, rest_mask, p, {
-            **base_params, "case": "fractional-rest", "p_b": p_b, "pivot": v0, "p": p})
-        if best is None or cert.bound < best.bound:
-            best = cert
+        value = _split_value(g, b_mask | fan_mask, rest_mask, p)
+        if best is None or value < best[0]:
+            best = (value, v0, b_mask | fan_mask, rest_mask, p)
     require(best is not None, "fractional case: the grown set is empty")
-    return best
+    _, v0, top_mask, rest_mask, p = best
+    return _split_half(g, "independence", top_mask, rest_mask, p, {
+        **base_params, "case": "fractional-rest", "p_b": p_b, "pivot": v0, "p": p})
 
 
 # ---------------------------------------------------------------------------

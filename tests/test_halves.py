@@ -459,6 +459,63 @@ def test_branch_and_bound_node_counts_are_pinned(g, value, nodes, monkeypatch):
         beta_exact(g)
 
 
+def test_branch_and_bound_pins_a_random_triangle_free_graph(monkeypatch):
+    # the non-transitive shape that dominates graph_queries: n = 26 with 3n edges
+    g = _random_triangle_free(random.Random(1), 26, 78)
+    assert g.edge_count() == 78 and len(set(g.adj)) == 26
+    value, witness = beta_exact(g)
+    assert value == Fraction(5, 676)
+    assert witness.support() == (0, 5, 7, 8, 10, 12, 13, 15, 16, 18, 19, 23, 24)
+    assert (value, witness) == _oracle_beta_branch_bound(g, 20_000_000)
+    monkeypatch.setattr(halves, "MAX_NODES", 3_733)
+    assert beta_exact(g) == (value, witness)
+    monkeypatch.setattr(halves, "MAX_NODES", 3_732)
+    with pytest.raises(ResourceLimitError):
+        beta_exact(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 36), st.integers(0, 2**32), st.data())
+def test_level_masks_sum_the_smallest_gains(n, seed, data):
+    # beta_exact's completion bound: levels[j] holds the vertices with more than j
+    # neighbours in the mask, grown one included vertex at a time as the search does
+    rng = random.Random(seed)
+    density = data.draw(st.floats(0, 1))
+    adj = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    order = rng.sample(range(n), n)
+    index = data.draw(st.integers(0, n))
+    mask = 0
+    levels = []
+    for v in order[:index]:
+        if rng.random() < 0.5:
+            continue
+        grown, below, row = [], -1, adj[v]
+        for level in levels:
+            grown.append(level | below & row)
+            below = level
+        if below & row:
+            grown.append(below & row)
+        mask, levels = mask | 1 << v, grown
+    gains = {v: (adj[v] & mask).bit_count() for v in range(n)}
+    assert levels == [sum(1 << v for v in range(n) if gains[v] > j)
+                      for j in range(max(gains.values(), default=0))]
+    rest = sum(1 << v for v in order[index:])
+    need = data.draw(st.integers(0, n - index))
+    slack = n - index - need
+    terms = [(rest & level).bit_count() - slack for level in levels]
+    bound = 0
+    for over in terms:
+        if over <= 0:
+            break
+        bound += over
+    expected = sum(sorted(gains[v] for v in order[index:])[:need])
+    assert bound == sum(max(0, over) for over in terms) == expected
+
+
 def test_beta_exact_pinned_witness_of_the_c5_blowup():
     value, witness = beta_exact(blowup(cycle(5), 6))
     assert value == Fraction(1, 50)

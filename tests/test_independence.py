@@ -100,6 +100,17 @@ def test_fractional_case_certificate():
     assert cert.bound == beta_of_half(g, cert.half)
 
 
+def test_fractional_case_certifies_only_its_winner(monkeypatch):
+    # the pivots are ranked by their closed form; only the first minimum is certified
+    calls = []
+    monkeypatch.setattr(halves, "beta_of_half",
+                        lambda g, mu: calls.append(mu) or beta_of_half(g, mu))
+    cert = independence_half(pivotless_gadget())
+    assert (cert.bound, cert.params["pivot"], cert.params["p"]) == (
+        Fraction(59, 2880), 0, Fraction(1, 6))
+    assert calls == [cert.half]
+
+
 def test_fractional_case_checks_its_closed_form(monkeypatch):
     monkeypatch.setattr(halves, "part_density",
                         lambda g, x: part_density(g, x) + Fraction(1, g.n**2))
