@@ -246,6 +246,12 @@ MUTANTS = [
         '("a2", a2, p1)',
         [CONSTRUCTIONS_TESTS + "test_split_combination_identity_on_small_graphs"],
     ),
+    (  # mu1's weight over 1 + Delta: the combination row checks the halves actually built
+        CONSTRUCTIONS,
+        "(Fraction(1, 2) - delta) / (1 - delta))",
+        "(Fraction(1, 2) - delta) / (1 + delta))",
+        [CONSTRUCTIONS_TESTS + "test_maxdeg_combination_identity"],
+    ),
     (  # the neighborhood union keeps its roots
         CONSTRUCTIONS,
         "        mask &= ~_mask_of(roots)\n",

@@ -9,12 +9,10 @@ claims, plus a CLI (`halfgraph`) that reproduces them.
 """
 
 from .constructions import (
-    clebsch_recipe_half,
     edge_halves,
-    gewirtz_recipe_half,
     krivelevich_bound,
-    m22_recipe_half,
     maxdeg_halves,
+    recipe_half,
     triple_half_bound,
 )
 from .density import c4_density, cross_density, part_density, rho

@@ -85,6 +85,30 @@ def _format_half(half) -> str:
     return "[" + ", ".join(str(w) for w in half.weights) + "]"
 
 
+def _first_edge_half(g: Graph):
+    """The better half of the first edge whose split `edge_halves` accepts."""
+    errors = []
+    for edge in g.edges():
+        try:
+            return min(edge_halves(g, edge), key=lambda c: c.bound)
+        except HalfError:
+            raise
+        except ValueError as err:
+            errors.append(err)
+    raise errors[0] if errors else ValueError("graph has no edges")
+
+
+# `beta bound --method` -> its construction, called with the graph and --seed;
+# `krivelevich` prints the averaged bound alone, with no half.
+BOUND_METHODS = {
+    "edge": lambda g, seed: _first_edge_half(g),
+    "maxdeg": lambda g, seed: maxdeg_halves(g),
+    "triple": lambda g, seed: triple_half_bound(g),
+    "independence": lambda g, seed: independence_half(g),
+    "local-search": lambda g, seed: local_search_half(g, seed=seed),
+}
+
+
 def cmd_beta(args) -> int:
     g = _load_target(args)
     if args.beta_cmd == "exact":
@@ -94,32 +118,10 @@ def cmd_beta(args) -> int:
         return 0
     if not is_triangle_free(g):
         raise ValueError("graph has a triangle")
-    method = args.method
-    if method == "krivelevich":
+    if args.method == "krivelevich":
         print(f"bound = {krivelevich_bound(g)}")
         return 0
-    if method == "edge":
-        errors = []
-        for edge in g.edges():  # the first edge whose split edge_halves accepts
-            try:
-                cert = min(edge_halves(g, edge), key=lambda c: c.bound)
-                break
-            except HalfError:
-                raise
-            except ValueError as err:
-                errors.append(err)
-        else:
-            raise errors[0] if errors else ValueError("graph has no edges")
-    elif method == "maxdeg":
-        cert = maxdeg_halves(g)
-    elif method == "triple":
-        cert = triple_half_bound(g)
-    elif method == "independence":
-        cert = independence_half(g)
-    elif method == "local-search":
-        cert = local_search_half(g, seed=args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown method {method}")
+    cert = BOUND_METHODS[args.method](g, args.seed)
     print(f"bound = {cert.bound}")
     if "analytic_bound" in cert.params:
         print(f"analytic = {cert.params['analytic_bound']}")
@@ -195,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         tgt.add_argument("--file")
         if name == "bound":
             p.add_argument("--method", required=True,
-                           choices=["edge", "maxdeg", "triple", "independence",
-                                    "local-search", "krivelevich"])
+                           choices=[*BOUND_METHODS, "krivelevich"])
             p.add_argument("--seed", type=int, default=1,
                            help="local-search seed (default 1, used for reproduction)")
 

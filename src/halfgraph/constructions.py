@@ -5,32 +5,31 @@ recomputed from the weights by `halves._split_half` or `_mask_certificate`,
 never the analytic shortcut; analytic values ride along in `params` and are
 checked against the recomputation by `require` (CertificateError, also -O).
 
-Vertex sets are int bitmasks.  Convention note: rho_x here always means
-|E(X)|/n^2 (`part_density`, no factor 2) and rho_xy means 2|E(X,Y)|/n^2
-(`cross_density`), so a closed form of 2*beta carries an explicit factor 2 on
-within-part terms.
+Vertex sets are int bitmasks; every two-weight closed form is
+`halves._split_value`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .density import c4_density, cross_density, part_density, rho
+from .density import c4_density, rho
 from .exactmath import sparse_estimate
 from .graphcore import (
     Graph,
-    NamedGraph,
     _bits,
     _induced_2matchings,
     _induced_edges,
     _mask_of,
     is_triangle_free,
+    named,
 )
 from .halves import (
     BoundCertificate,
     _mask_certificate,
     _odd_cost,
     _split_half,
+    _split_value,
     require,
 )
 
@@ -80,26 +79,30 @@ def krivelevich_bound(g: Graph) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _max_degree_split(g: Graph):
-    """(v, Delta, N(v), V - N(v)) as masks, for the lowest-index vertex v of maximum degree."""
+def _maxdeg_pair(g: Graph):
+    """(v, Delta, mu0, mu1) for the lowest-index vertex v of maximum degree.
+
+    The halves are `_split_half` (top, rest, p) triples: mu0 is
+    (empty, V - N(v), 1/(2(1-Delta))) and mu1 is (N(v), V - N(v), (1/2-Delta)/(1-Delta)).
+    """
     v = min(range(g.n), key=lambda u: (-g.degree(u), u))
     hood = g.adj[v]
-    return v, Fraction(hood.bit_count(), g.n), hood, ((1 << g.n) - 1) & ~hood
+    delta, rest = Fraction(hood.bit_count(), g.n), ((1 << g.n) - 1) & ~hood
+    mu1 = (hood, rest, (Fraction(1, 2) - delta) / (1 - delta))
+    return v, delta, (0, rest, 1 / (2 * (1 - delta))), mu1
 
 
 def maxdeg_halves(g: Graph) -> BoundCertificate:
-    """Two halves built from a maximum-degree vertex, plus the analytic bound.
+    """Both `_maxdeg_pair` halves, certified, plus the analytic bound.
 
-    As `_split_half` (top, rest, p) triples, mu0 is (empty, V - N(v), 1/(2(1-Delta)))
-    and mu1 is (N(v), V - N(v), (1/2-Delta)/(1-Delta)); the better one's certificate
-    is returned, and the analytic rho*(1-2*Delta)/(8*(1-Delta)^2) must dominate it.
+    The better half's certificate is returned, and the analytic
+    rho*(1-2*Delta)/(8*(1-Delta)^2) must dominate it.
     """
-    v, delta, hood, rest = _max_degree_split(g)
+    v, delta, mu0, mu1 = _maxdeg_pair(g)
     if delta >= Fraction(1, 2):
         raise ValueError(f"max degree {delta} >= 1/2; half weights would exceed 1")
     params = {"vertex": v, "delta": delta}
-    c0 = _split_half(g, "maxdeg", 0, rest, 1 / (2 * (1 - delta)), params)
-    c1 = _split_half(g, "maxdeg", hood, rest, (Fraction(1, 2) - delta) / (1 - delta), params)
+    c0, c1 = (_split_half(g, "maxdeg", *mu, params) for mu in (mu0, mu1))
     analytic = rho(g) * (1 - 2 * delta) / (8 * (1 - delta) ** 2)
     require(analytic >= min(c0.bound, c1.bound),
             f"maxdeg: analytic {analytic} below both halves {c0.bound}, {c1.bound}")
@@ -111,17 +114,14 @@ def maxdeg_halves(g: Graph) -> BoundCertificate:
 def maxdeg_combination_residual(g: Graph) -> Fraction:
     """Exact residual of the two-half combination identity (must be zero).
 
-    (1-2D)*rhs0 + rhs1 - (1-2D)/(2(1-D)) * rho where rhs_i is the closed form
-    of 2*beta(G, mu_i); zero certifies the lemma-producing combination.
+    (1-2D)*beta(mu0) + beta(mu1) - (1-2D)*rho/(4(1-D)), with beta(mu_i) the
+    `_split_value` of the `_maxdeg_pair` halves that `maxdeg_halves` certifies.
+    It vanishes when N(v) is independent, so on every triangle-free graph, the
+    only graphs it is meant for; zero certifies the lemma-producing combination.
     """
-    _, delta, hood, rest = _max_degree_split(g)
-    rho_ab, rho_b = cross_density(g, hood, rest), part_density(g, rest)
-    q = (Fraction(1, 2) - delta) / (1 - delta)
-    rhs0 = rho_b / (2 * (1 - delta) ** 2)
-    rhs1 = q * rho_ab + 2 * q**2 * rho_b
-    combined = (1 - 2 * delta) * rhs0 + rhs1
-    # the neighborhood is independent, so rho_ab + 2*rho_b = rho
-    return combined - (1 - 2 * delta) / (2 * (1 - delta)) * (rho_ab + 2 * rho_b)
+    _, delta, mu0, mu1 = _maxdeg_pair(g)
+    return ((1 - 2 * delta) * _split_value(g, *mu0) + _split_value(g, *mu1)
+            - (1 - 2 * delta) * rho(g) / (4 * (1 - delta)))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
         raise ValueError("construction requires a triangle-free graph")
     if g.edge_count() == 0:
         raise ValueError("graph has no edges")
-    v1, delta, hood, _ = _max_degree_split(g)
+    v1, delta, _, (hood, _, _) = _maxdeg_pair(g)  # mu1's top is N(v1)
     if delta > Fraction(1, 4):
         raise ValueError(f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case")
     v2 = min(_bits(hood), key=lambda u: (-g.degree(u), u))
@@ -166,21 +166,36 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
 # ---------------------------------------------------------------------------
 
 
-def _expect_named(ng: NamedGraph, name: str) -> Graph:
-    if not isinstance(ng, NamedGraph) or ng.name != name:
-        raise ValueError(f"this recipe applies to the {name} graph only")
-    return ng.graph
+def _edge_and_far_vertex(g: Graph):
+    """(u1, u2, u3): an edge, then a vertex outside both endpoints' closed neighborhoods."""
+    return ((u1, u2, u3) for u1, u2 in g.edges() for u3 in range(g.n)
+            if not (g.adj[u1] | g.adj[u2] | 1 << u1 | 1 << u2) >> u3 & 1)
 
 
-def _union_recipe(g: Graph, method: str, candidates, edges: int, cost, params) -> BoundCertificate:
-    """The first root tuple whose neighborhood union spans `edges` edges.
+# name -> (root tuples to try, edges the union must span, pivot cost or None, params(g, roots)).
+# clebsch: the first edge; disjoint neighborhoods force 8 = n/2 vertices, which span
+#   4 edges on every edge, so beta <= 1/64 <= 1/50.
+# gewirtz: the first induced 2-matching whose union (28 = n/2 vertices) spans 51 edges.
+# m22: |A| = 38 and |E(A)| = 109; the half adds weight 1/2 at the vertex beta_exact
+#   would pick (`_odd_cost`), which must have 9 neighbors in A: (109 + 9/2)/77^2 < 0.0192.
+_RECIPES = {
+    "clebsch": (lambda g: g.edges()[:1], 4, None, lambda g, r: {"edge": r}),
+    "gewirtz": (_induced_2matchings, 51, None, lambda g, r: {"roots": r}),
+    "m22": (_edge_and_far_vertex, 109, 9, lambda g, r: {"roots": r, "set_size": g.n // 2}),
+}
+
+
+def _union_recipe(g: Graph, name: str) -> BoundCertificate:
+    """The `_RECIPES[name]` half of g: the first root tuple whose neighborhood union fits.
 
     The union of N(r) over the roots, minus the roots, must have n//2
-    vertices.  Unless `cost` is None, `_odd_cost`'s vertex must also have
-    `cost` neighbors in it.  `params(roots)` gives the certificate's params.
+    vertices and span the recipe's edge count.  Unless its pivot cost is
+    None, `_odd_cost`'s vertex must also have that many neighbors in it.
     """
+    candidates, edges, cost, params = _RECIPES[name]
+    method = f"{name}-recipe"
     best = None
-    for roots in candidates:
+    for roots in candidates(g):
         mask = 0
         for r in roots:
             mask |= g.adj[r]
@@ -192,39 +207,14 @@ def _union_recipe(g: Graph, method: str, candidates, edges: int, cost, params) -
         if best is None or abs(induced - edges) < abs(best[0] - edges):
             best = (induced, roots)
         if induced == edges and (cost is None or _odd_cost(g.adj, g.n, mask)[0] == cost):
-            return _mask_certificate(g, method, mask, induced, params(roots))
+            return _mask_certificate(g, method, mask, induced, params(g, roots))
     pivot = "" if cost is None else f" with a {cost}-neighbor pivot"
     closest = f"closest {best[0]} edges at roots {best[1]}" if best else "no candidate"
     raise RecipeSearchError(f"{method}: no root tuple spans {edges} edges{pivot}; {closest}")
 
 
-def clebsch_recipe_half(ng: NamedGraph) -> BoundCertificate:
-    """Union of the first edge's endpoint neighborhoods, minus the endpoints.
-
-    Disjoint neighborhoods force exactly 8 = n/2 vertices, which span 4 edges
-    on every edge, so beta <= 1/64 <= 1/50.
-    """
-    g = _expect_named(ng, "clebsch")
-    return _union_recipe(g, "clebsch-recipe", g.edges()[:1], 4, None, lambda r: {"edge": r})
-
-
-def gewirtz_recipe_half(ng: NamedGraph) -> BoundCertificate:
-    """First induced 2-matching whose neighborhood union (28 = n/2 vertices) spans 51 edges."""
-    g = _expect_named(ng, "gewirtz")
-    return _union_recipe(g, "gewirtz-recipe", _induced_2matchings(g), 51, None,
-                         lambda r: {"roots": r})
-
-
-def m22_recipe_half(ng: NamedGraph) -> BoundCertificate:
-    """Three-root neighborhood union with |A|=38, |E(A)|=109, plus half a vertex.
-
-    Roots are an edge (u1, u2) and a third vertex u3 outside both
-    neighborhoods; the half adds weight 1/2 at the vertex beta_exact would
-    pick (`_odd_cost`), which must have 9 neighbors in A, certifying
-    (109 + 9/2)/77^2 < 0.0192.
-    """
-    g = _expect_named(ng, "m22")
-    triples = ((u1, u2, u3) for u1, u2 in g.edges() for u3 in range(g.n)
-               if not (g.adj[u1] | g.adj[u2] | 1 << u1 | 1 << u2) >> u3 & 1)
-    return _union_recipe(g, "m22-recipe", triples, 109, 9,
-                         lambda r: {"roots": r, "set_size": g.n // 2})
+def recipe_half(name: str) -> BoundCertificate:
+    """The recipe half of the named strongly regular graph `name`: clebsch, gewirtz or m22."""
+    if name not in _RECIPES:
+        raise ValueError(f"no recipe half for {name!r}; recipes: {', '.join(_RECIPES)}")
+    return _union_recipe(named(name).graph, name)

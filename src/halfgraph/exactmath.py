@@ -649,8 +649,11 @@ def edge_split_coeffs() -> dict:
 def _rational_points(lo, hi, step: Fraction):
     """Exact grid: all integer multiples of `step` in (lo, hi), plus endpoints.
 
-    `lo`/`hi` may be QuadNum; comparisons stay exact throughout.
+    `lo`/`hi` may be QuadNum; comparisons stay exact throughout.  A step
+    <= 0 raises ValueError; a negative one would never reach `hi`.
     """
+    if step <= 0:
+        raise ValueError("grid step must be positive")
     points = [lo]
     k = floor(lo / step) + 1
     while k * step < hi:

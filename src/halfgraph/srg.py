@@ -63,14 +63,6 @@ def rho_qc(q: int, c: int) -> Fraction:
     return Fraction(p.k * p.n.denominator, p.n.numerator)
 
 
-def krein_rho(q: int) -> Fraction:
-    """Krein-boundary density Q(q, q(q+1)).
-
-    Equal to Q1(q) = (q^2+3q+1) / (q(q+3)^2), as `srg.closed_forms` proves.
-    """
-    return rho_qc(q, q * (q + 1))
-
-
 def srg_c4(p: SrgParams) -> Fraction:
     """Closed-form 4-cycle density 3*(k^2 + c^2*(n-k-1))/n^3 (degenerate tuples included)."""
     return 3 * (p.k**2 + p.c**2 * (p.n - p.k - 1)) / p.n**3

@@ -20,12 +20,10 @@ from math import isqrt
 
 from . import exactmath, independence, srg
 from .constructions import (
-    clebsch_recipe_half,
-    gewirtz_recipe_half,
     krivelevich_bound,
-    m22_recipe_half,
     maxdeg_combination_residual,
     maxdeg_halves,
+    recipe_half,
     triple_half_bound,
 )
 from .density import (
@@ -50,7 +48,6 @@ from .halves import beta_exact, local_search_half
 from .independence import independence_half
 from .report import IdentityReport, run_check
 from .srg import (
-    krein_rho,
     regular_beta_bound,
     rho_qc,
     srg_beta_bound,
@@ -264,7 +261,7 @@ def _q_increasing_in_c(_seed):
 
 
 def _krein_decreasing(_seed):
-    values = [krein_rho(q) for q in range(1, 22)]
+    values = [rho_qc(q, q * (q + 1)) for q in range(1, 22)]
     ok = all(a > b for a, b in zip(values, values[1:]))
     return str([str(v) for v in values[:4]]), "strictly decreasing", ok
 
@@ -482,7 +479,7 @@ SRG_CASES = [
     Check("srg.krein_density_decreasing", "Q1(q) strictly decreasing for q = 1..20",
           _krein_decreasing),
     Check("srg.krein_q4_below_rho0", "Q1(4) = 29/196 < rho0",
-          _below_rho0(lambda: krein_rho(4), Fraction(29, 196))),
+          _below_rho0(lambda: rho_qc(4, 20), Fraction(29, 196))),
     Check("srg.q2_c1_below_rho0", "Q(2,1) = 7/50 < rho0",
           _below_rho0(lambda: rho_qc(2, 1), Fraction(7, 50))),
     Check("srg.q3_c11_below_rho0", "Q(3,11) = 583/3350 < rho0",
@@ -491,13 +488,13 @@ SRG_CASES = [
           _at_most_fiftieth(lambda: beta_exact(named("petersen").graph)[0])),
     Check("srg.q1_c2_clebsch",
           "q=1, c=2 (Clebsch): neighborhood-union half certifies <= 1/50",
-          _at_most_fiftieth(lambda: clebsch_recipe_half(named("clebsch")).bound)),
+          _at_most_fiftieth(lambda: recipe_half("clebsch").bound)),
     Check("srg.q2_c2_gewirtz", "q=2, c=2 (Gewirtz): recipe half certifies <= 1/50; "
           "Gewirtz is the only SRG(56, 10, 0, 2) (A. Gewirtz, 1969)",
-          _at_most_fiftieth(lambda: gewirtz_recipe_half(named("gewirtz")).bound)),
+          _at_most_fiftieth(lambda: recipe_half("gewirtz").bound)),
     Check("srg.q2_c4_m22", "q=2, c=4 (M22): recipe half certifies <= 1/50; "
           "M22 is the only SRG(77, 16, 0, 4) (A. E. Brouwer, 1983)",
-          _at_most_fiftieth(lambda: m22_recipe_half(named("m22")).bound)),
+          _at_most_fiftieth(lambda: recipe_half("m22").bound)),
     Check("srg.q2_c6_higman_sims",
           "q=2, c=6 (Higman-Sims): local search certifies <= 1/50 - 10^-4; Higman-Sims "
           "is the only SRG(100, 22, 0, 6) (A. Gewirtz, 1969)", _higman_sims),

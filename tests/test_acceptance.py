@@ -10,10 +10,8 @@ import random
 from fractions import Fraction
 
 from halfgraph.constructions import (
-    clebsch_recipe_half,
-    gewirtz_recipe_half,
     krivelevich_bound,
-    m22_recipe_half,
+    recipe_half,
 )
 from halfgraph.density import (
     c4_density,
@@ -83,15 +81,15 @@ def test_criterion_04_averaged_split_bound_on_all_small_graphs():
 
 
 def test_criterion_05_named_graph_recipe_halves():
-    clebsch = clebsch_recipe_half(named("clebsch"))
+    clebsch = recipe_half("clebsch")
     assert clebsch.params["induced_edges"] <= 5
     assert clebsch.bound <= FIFTY
 
-    gewirtz = gewirtz_recipe_half(named("gewirtz"))
+    gewirtz = recipe_half("gewirtz")
     assert gewirtz.params["induced_edges"] == 51
     assert gewirtz.bound <= Fraction(17, 1000)
 
-    m22 = m22_recipe_half(named("m22"))
+    m22 = recipe_half("m22")
     assert m22.params["set_size"] == 38
     assert m22.params["induced_edges"] == 109
     assert m22.bound == Fraction(227, 11858)
@@ -108,11 +106,11 @@ def test_criterion_06_higman_sims_local_search():
 
 
 def test_criterion_07_srg_algebra():
-    from halfgraph.srg import krein_rho, rho_qc, srg_beta_bound
+    from halfgraph.srg import rho_qc, srg_beta_bound
 
     assert rho_qc(2, 1) == Fraction(7, 50) and RHO0 > Fraction(7, 50)
     assert rho_qc(3, 11) == Fraction(583, 3350) and RHO0 > Fraction(583, 3350)
-    assert krein_rho(4) == Fraction(29, 196) and RHO0 > Fraction(29, 196)
+    assert rho_qc(4, 20) == Fraction(29, 196) and RHO0 > Fraction(29, 196)
     assert srg_beta_bound(3, 12) == Fraction(11, 560) <= FIFTY
     _report("07 SRG algebra: 7/50, 583/3350, 29/196 all < rho0; 11/560 <= 1/50")
 

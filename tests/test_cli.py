@@ -225,8 +225,15 @@ def test_beta_bound_independence_over_the_alpha_budget_is_an_error_line(tmp_path
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("method", ["edge", "maxdeg", "triple", "independence",
-                                    "local-search", "krivelevich"])
+def test_beta_bound_choices_come_from_the_method_table():
+    beta = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["beta"]
+    bound = next(a for a in beta._actions if a.dest == "beta_cmd").choices["bound"]
+    method = next(a for a in bound._actions if a.dest == "method")
+    assert method.choices == [*cli.BOUND_METHODS, "krivelevich"]
+    assert list(cli.BOUND_METHODS) == ["edge", "maxdeg", "triple", "independence", "local-search"]
+
+
+@pytest.mark.parametrize("method", [*cli.BOUND_METHODS, "krivelevich"])
 def test_beta_bound_rejects_a_graph_with_a_triangle(method, tmp_path, capsys):
     (tmp_path / "k3.g6").write_text("Bw\n")
     argv = ["beta", "bound", "--method", method, "--file", str(tmp_path / "k3.g6")]

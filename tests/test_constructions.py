@@ -8,20 +8,19 @@ import pytest
 
 from halfgraph import constructions, halves
 from halfgraph.constructions import (
+    _RECIPES,
     RecipeSearchError,
-    clebsch_recipe_half,
+    _union_recipe,
     edge_halves,
-    gewirtz_recipe_half,
     krivelevich_bound,
-    m22_recipe_half,
     maxdeg_combination_residual,
     maxdeg_halves,
+    recipe_half,
     triple_half_bound,
 )
 from halfgraph.density import c4_density, cross_density, part_density, rho
 from halfgraph.graphcore import (
     Graph,
-    NamedGraph,
     clebsch,
     cycle,
     empty,
@@ -270,8 +269,7 @@ def test_triple_bound_on_all_low_degree_small_graphs():
 
 
 def test_clebsch_recipe():
-    ng = named("clebsch")
-    cert = clebsch_recipe_half(ng)
+    cert = recipe_half("clebsch")
     assert len(cert.half.support()) == 8
     assert cert.params["induced_edges"] <= 5
     assert cert.bound <= Fraction(1, 50)
@@ -285,28 +283,25 @@ def test_clebsch_recipe_all_edges_equal():
         union = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
         assert union.bit_count() == 8
         counts.add(sum(1 for a, b in g.edges() if union >> a & union >> b & 1))
-    assert counts == {clebsch_recipe_half(named("clebsch")).params["induced_edges"]}
+    assert counts == {recipe_half("clebsch").params["induced_edges"]}
 
 
-RECIPES = [clebsch_recipe_half, gewirtz_recipe_half, m22_recipe_half]
+def test_recipe_half_names_the_recipes():
+    assert list(_RECIPES) == ["clebsch", "gewirtz", "m22"]
+    with pytest.raises(ValueError, match=r"^no recipe half for 'petersen'; "
+                                         r"recipes: clebsch, gewirtz, m22$"):
+        recipe_half("petersen")
 
 
-@pytest.mark.parametrize("recipe", RECIPES, ids=lambda f: f.__name__)
-def test_recipes_reject_other_graphs(recipe):
-    with pytest.raises(ValueError, match="graph only$"):
-        recipe(named("petersen"))
-
-
-@pytest.mark.parametrize("recipe", RECIPES[:2], ids=lambda f: f.__name__)
-def test_recipe_size_error_wants_half_the_order(recipe):
+@pytest.mark.parametrize("name", ["clebsch", "gewirtz"])
+def test_recipe_size_error_wants_half_the_order(name):
     # on Petersen (10, 3, 0, 1) the first union has 4 vertices, not n // 2 = 5
-    name = recipe.__name__.removesuffix("_recipe_half")
     with pytest.raises(RecipeSearchError, match="has 4 vertices, wanted 5$"):
-        recipe(NamedGraph(name, petersen(), (10, 3, 0, 1)))
+        _union_recipe(petersen(), name)
 
 
 def test_gewirtz_recipe():
-    cert = gewirtz_recipe_half(named("gewirtz"))
+    cert = recipe_half("gewirtz")
     assert cert.params["induced_edges"] == 51
     assert len(cert.half.support()) == 28
     assert cert.bound == Fraction(51, 3136)
@@ -314,7 +309,7 @@ def test_gewirtz_recipe():
 
 
 def test_m22_recipe():
-    cert = m22_recipe_half(named("m22"))
+    cert = recipe_half("m22")
     assert cert.params["set_size"] == 38
     assert cert.params["induced_edges"] == 109
     assert cert.bound == Fraction(227, 11858)  # (109 + 9/2)/77^2
@@ -326,11 +321,7 @@ def test_m22_recipe():
 
 
 def test_recipe_certificates_are_pinned():
-    certs = [
-        clebsch_recipe_half(named("clebsch")),
-        gewirtz_recipe_half(named("gewirtz")),
-        m22_recipe_half(named("m22")),
-    ]
+    certs = [recipe_half(name) for name in ("clebsch", "gewirtz", "m22")]
     assert certs[0].params == {"edge": (0, 1), "induced_edges": 4}
     assert certs[1].params == {"roots": (0, 29, 1, 32), "induced_edges": 51}
     assert certs[2].params == {
@@ -345,6 +336,6 @@ def test_failed_recipe_search_names_the_closest_candidate():
     # vertices, and none spans 51 edges
     with pytest.raises(RecipeSearchError,
                        match=r"spans 51 edges; closest 4 edges at roots \(0, 1, 6, 7\)$"):
-        gewirtz_recipe_half(NamedGraph("gewirtz", clebsch(), (16, 5, 0, 2)))
+        _union_recipe(clebsch(), "gewirtz")
     with pytest.raises(RecipeSearchError, match="9-neighbor pivot; no candidate$"):
-        m22_recipe_half(NamedGraph("m22", empty(2), (2, 0, 0, 0)))
+        _union_recipe(empty(2), "m22")

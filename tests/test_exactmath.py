@@ -465,6 +465,20 @@ def test_rational_grid_is_exact_and_ordered():
     assert [p for p in pts[1:-1]] == [Fraction(k, 100) for k in range(18, 25)]
 
 
+@pytest.mark.parametrize("step", [Fraction(-1, 100), Fraction(0)])
+def test_a_grid_step_that_is_not_positive_gives_error_rows(step):
+    # a negative step never reaches the grid's upper end, so it is refused up front
+    with pytest.raises(ValueError, match="^grid step must be positive$"):
+        _rational_points(RHO0, Fraction(1, 4), step)
+    rows = {c.id: c for c in verify_sparse_identities(step).checks}
+    grid_rows = {"sparse.taylor_signs", "sparse.case2_boundary"}
+    for check_id in grid_rows:
+        assert not rows[check_id].passed
+        assert rows[check_id].error.startswith("ValueError: grid step must be positive")
+    assert all(c.passed and c.error is None for i, c in rows.items() if i not in grid_rows)
+    assert len(rows) == 7
+
+
 def _oracle_taylor_shift(coeffs: list, x0) -> list:
     """t_r = sum over m >= r of comb(m, r) * c_m * x0^(m - r), the closed form."""
     n = len(coeffs)

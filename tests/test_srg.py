@@ -10,7 +10,6 @@ from halfgraph.exactmath import RHO0, Polynomial, RationalFunc
 from halfgraph.graphcore import named, srg_parameters
 from halfgraph.srg import (
     SrgParams,
-    krein_rho,
     regular_beta_bound,
     rho_qc,
     srg_beta_bound,
@@ -61,8 +60,6 @@ def test_srg_from_qc_and_rho_qc_match_the_oracles_on_the_grid():
         assert type(p.n) is Fraction and p.n == _oracle_n(q, c), (q, c)
         value = rho_qc(q, c)
         assert type(value) is Fraction and value == _oracle_rho_qc(q, c), (q, c)
-    for q in range(1, 15):
-        assert krein_rho(q) == _oracle_rho_qc(q, q * (q + 1)), q
 
 
 def test_srg_from_qc_flags_inadmissible():
@@ -83,8 +80,8 @@ def test_srg_from_qc_range_errors():
 def test_rho_qc_known_values():
     assert rho_qc(2, 1) == Fraction(7, 50)
     assert rho_qc(3, 11) == Fraction(583, 3350)
-    assert krein_rho(4) == Fraction(29, 196)
-    assert krein_rho(4) < RHO0
+    assert rho_qc(4, 20) == Fraction(29, 196)
+    assert rho_qc(4, 20) < RHO0
     assert rho_qc(2, 1) < RHO0
     assert rho_qc(3, 11) < RHO0
 
@@ -98,7 +95,7 @@ def test_rho_qc_matches_the_closed_form_on_every_cell():
 
 def test_krein_rho_matches_q1():
     for q in range(1, 21):
-        assert krein_rho(q) == Fraction(q * q + 3 * q + 1, q * (q + 3) ** 2)
+        assert rho_qc(q, q * (q + 1)) == Fraction(q * q + 3 * q + 1, q * (q + 3) ** 2)
 
 
 def test_closed_forms_row_catches_a_broken_closed_form(monkeypatch):
@@ -148,7 +145,7 @@ def test_monotonicity():
     for q in range(1, 11):
         values = [rho_qc(q, c) for c in range(1, q * (q + 1) + 1)]
         assert all(a < b for a, b in zip(values, values[1:]))
-    krein = [krein_rho(q) for q in range(1, 21)]
+    krein = [rho_qc(q, q * (q + 1)) for q in range(1, 21)]
     assert all(a > b for a, b in zip(krein, krein[1:]))
 
 

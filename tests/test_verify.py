@@ -2,11 +2,15 @@
 
 import ast
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+
+import pytest
 
 import halfgraph
 from halfgraph.density import c4_lower_general
 from halfgraph.girth5 import FIFTIETH
+from halfgraph.report import run_check
 from halfgraph.verify import INDEPENDENCE_IDENTITIES, SECTIONS, SRG_CASES, _sparse_identities
 
 REPORT_ORDER = [
@@ -48,6 +52,14 @@ def test_wrapped_sub_lists_lead_their_sections():
     assert SECTIONS["srg"][:16] == SRG_CASES
     assert [c.id for c in SECTIONS["sparse"][:7]] == [c.id for c in sparse]
     assert SECTIONS["independence"][:5] == INDEPENDENCE_IDENTITIES
+
+
+@pytest.mark.parametrize("check", [c for checks in SECTIONS.values() for c in checks],
+                         ids=lambda c: c.id)
+def test_every_registry_row_passes(check):
+    result = run_check(check.id, check.claim, partial(check.compute, 1))
+    assert result.error is None
+    assert result.passed, (result.computed, result.bound)
 
 
 def _row(check_id):
