@@ -5,8 +5,8 @@ recomputed from the weights by `halves._split_half` or `_mask_certificate`,
 never the analytic shortcut; analytic values ride along in `params` and are
 checked against the recomputation by `require` (CertificateError, also -O).
 
-Vertex sets are int bitmasks; every two-weight closed form is
-`halves._split_value`.
+Vertex sets are int bitmasks; a split half is a (top, rest) pair of them, and
+every closed form of one is `halves._split_value`.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .graphcore import (
 )
 from .halves import (
     BoundCertificate,
+    _fill,
     _mask_certificate,
     _odd_cost,
     _split_half,
@@ -46,8 +47,8 @@ class RecipeSearchError(Exception):
 def edge_halves(g: Graph, edge) -> tuple[BoundCertificate, BoundCertificate]:
     """The two halves of the split by `edge` = (v1, v2), adjacent with no common neighbour.
 
-    With e_i = deg(v_i)/n <= 1/2, e1 + e2 < 1 (else ValueError), B = V - N(v1) - N(v2) and
-    p1 = (1/2 - e1)/(1 - e1 - e2) = 1 - p2, half i is `_split_half` (N(v_i), B, p_i).
+    With e_i = deg(v_i)/n <= 1/2, e1 + e2 < 1 (else ValueError) and B = V - N(v1) - N(v2),
+    half i is the `_split_half` (N(v_i), B), whose weight on B is (1/2 - e_i)/(1 - e1 - e2).
     """
     v1, v2 = edge
     if not g.has_edge(v1, v2):
@@ -61,9 +62,9 @@ def edge_halves(g: Graph, edge) -> tuple[BoundCertificate, BoundCertificate]:
     if e1 > Fraction(1, 2) or e2 > Fraction(1, 2):
         raise ValueError("relative degree above 1/2; split weights leave [0, 1]")
     b = ((1 << g.n) - 1) & ~(a1 | a2)
-    p1 = (Fraction(1, 2) - e1) / (1 - e1 - e2)
-    return tuple(_split_half(g, "edge", own, b, p, dict(v1=v1, v2=v2, side=side, e1=e1, e2=e2, p=p))
-                 for side, own, p in (("a1", a1, p1), ("a2", a2, 1 - p1)))
+    return tuple(_split_half(g, "edge", own, b,
+                             dict(v1=v1, v2=v2, side=side, e1=e1, e2=e2, p=_fill(g.n, own, b)))
+                 for side, own in (("a1", a1), ("a2", a2)))
 
 
 def krivelevich_bound(g: Graph) -> Fraction:
@@ -82,14 +83,13 @@ def krivelevich_bound(g: Graph) -> Fraction:
 def _maxdeg_pair(g: Graph):
     """(v, Delta, mu0, mu1) for the lowest-index vertex v of maximum degree.
 
-    The halves are `_split_half` (top, rest, p) triples: mu0 is
-    (empty, V - N(v), 1/(2(1-Delta))) and mu1 is (N(v), V - N(v), (1/2-Delta)/(1-Delta)).
+    The halves are `_split_half` (top, rest) pairs: mu0 = (empty, V - N(v)) puts
+    1/(2(1-Delta)) on the rest and mu1 = (N(v), V - N(v)) puts (1/2-Delta)/(1-Delta).
     """
     v = min(range(g.n), key=lambda u: (-g.degree(u), u))
     hood = g.adj[v]
-    delta, rest = Fraction(hood.bit_count(), g.n), ((1 << g.n) - 1) & ~hood
-    mu1 = (hood, rest, (Fraction(1, 2) - delta) / (1 - delta))
-    return v, delta, (0, rest, 1 / (2 * (1 - delta))), mu1
+    rest = ((1 << g.n) - 1) & ~hood
+    return v, Fraction(hood.bit_count(), g.n), (0, rest), (hood, rest)
 
 
 def maxdeg_halves(g: Graph) -> BoundCertificate:
@@ -134,29 +134,29 @@ def triple_half_bound(g: Graph) -> BoundCertificate:
 
     Picks v1 of maximum degree, v2 of maximum degree inside N(v1) (ties to
     the lowest index).  mu1 and mu2 are `edge_halves(g, (v1, v2))`, the one
-    split of the edge; mu0 is the `_split_half` (N(v1) | N(v2), rest, p0) with
-    e1 = Delta and e2 = deg(v2)/n.  The best half's certificate is returned,
-    ties to mu0; the analytic f(rho, Delta, e2) must dominate it.
+    split of the edge; mu0 is the `_split_half` (N(v1) | N(v2), rest), weight p0 on
+    the rest, with e1 = Delta and e2 = deg(v2)/n.  The best half's certificate is
+    returned, ties to mu0; the analytic f(rho, Delta, e2) must dominate it.
     """
     if not is_triangle_free(g):
         raise ValueError("construction requires a triangle-free graph")
     if g.edge_count() == 0:
         raise ValueError("graph has no edges")
-    v1, delta, _, (hood, _, _) = _maxdeg_pair(g)  # mu1's top is N(v1)
+    v1, delta, _, (hood, _) = _maxdeg_pair(g)  # mu1's top is N(v1)
     if delta > Fraction(1, 4):
         raise ValueError(f"max degree {delta} > 1/4: use maxdeg_halves, which covers that case")
     v2 = min(_bits(hood), key=lambda u: (-g.degree(u), u))
     c1, c2 = edge_halves(g, (v1, v2))
     e2 = Fraction(g.degree(v2), g.n)
     both = hood | g.adj[v2]
-    p0 = (Fraction(1, 2) - delta - e2) / (1 - delta - e2)
-    certs = (_split_half(g, "triple", both, ((1 << g.n) - 1) & ~both, p0, {}), c1, c2)
+    rest = ((1 << g.n) - 1) & ~both
+    certs = (_split_half(g, "triple", both, rest, {}), c1, c2)
     values = [c.bound for c in certs]
     analytic = sparse_estimate().eval({"rho": rho(g), "delta": delta, "e2": e2})
     require(analytic >= min(values), f"triple: analytic {analytic} below every half {values}")
     best_idx = min(range(3), key=lambda i: (values[i], i))
     return BoundCertificate("triple", values[best_idx], certs[best_idx].half, {
-        "v1": v1, "v2": v2, "delta": delta, "e2": e2, "p0": p0,
+        "v1": v1, "v2": v2, "delta": delta, "e2": e2, "p0": _fill(g.n, both, rest),
         "analytic_bound": analytic, "chosen": f"mu{best_idx}",
     })
 

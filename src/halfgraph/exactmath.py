@@ -112,23 +112,18 @@ class QuadNum(_Exact):
         return None
 
     # -- field ops ---------------------------------------------------------
-    # An int or Fraction operand is used as it is: a sum touches only `a`, a
-    # product costs two Fraction multiplications, and `_quad` skips
-    # re-coercing parts that are already Fraction.
     def __add__(self, other):
-        if isinstance(other, QuadNum):
-            return _quad(self.a + other.a, self.b + other.b)
-        if isinstance(other, (int, Fraction)):
-            return _quad(self.a + other, self.b)
-        return NotImplemented
+        o = other if isinstance(other, QuadNum) else self._wrap(other)
+        if o is None:
+            return NotImplemented
+        return _quad(self.a + o.a, self.b + o.b)
 
     def __mul__(self, other):
-        if isinstance(other, QuadNum):
-            a, b, c, d = self.a, self.b, other.a, other.b
-            return _quad(a * c + _SQ * b * d, a * d + b * c)
-        if isinstance(other, (int, Fraction)):
-            return _quad(self.a * other, self.b * other)
-        return NotImplemented
+        o = other if isinstance(other, QuadNum) else self._wrap(other)
+        if o is None:
+            return NotImplemented
+        a, b, c, d = self.a, self.b, o.a, o.b
+        return _quad(a * c + _SQ * b * d, a * d + b * c)
 
     def __neg__(self):
         return _quad(-self.a, -self.b)

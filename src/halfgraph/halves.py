@@ -47,6 +47,11 @@ def require(condition: bool, message: str) -> None:
         raise CertificateError(message)
 
 
+def _fill(n: int, top: int, rest: int) -> Fraction:
+    """The weight on rest that tops 1 on top up to n/2: (n - 2|top|)/(2|rest|), 0 for no rest."""
+    return Fraction(n - 2 * top.bit_count(), 2 * rest.bit_count()) if rest else Fraction(0)
+
+
 @dataclass(frozen=True)
 class Half:
     weights: tuple[Fraction, ...]
@@ -62,14 +67,14 @@ class Half:
         object.__setattr__(self, "weights", tuple(weights))
 
     @classmethod
-    def from_masks(cls, n: int, pairs) -> "Half":
-        """The half with weight w on the vertices of each (mask, w) pair, 0 elsewhere."""
+    def from_masks(cls, n: int, top: int, rest: int) -> "Half":
+        """The half with weight 1 on `top`, `_fill(n, top, rest)` on `rest` and 0 elsewhere."""
+        if top & rest:
+            raise HalfError("a vertex is in two weight classes")
+        if (top | rest) >> n:
+            raise HalfError(f"a mask has a vertex at or above n = {n}")
         weights = [Fraction(0)] * n
-        covered = 0
-        for mask, weight in pairs:
-            if covered & mask:
-                raise HalfError("a vertex is in two weight classes")
-            covered |= mask
+        for mask, weight in ((top, Fraction(1)), (rest, _fill(n, top, rest))):
             for v in _bits(mask):
                 weights[v] = weight
         return cls(tuple(weights))
@@ -142,35 +147,36 @@ def certificate(g: Graph, method: str, half: Half, params: dict | None = None) -
 def _mask_certificate(g: Graph, method: str, mask: int, edges: int, params) -> BoundCertificate:
     """The half with weight 1 on the n//2-set mask, certified against the caller's count.
 
-    For odd n the half also puts 1/2 on `_odd_cost`'s vertex, recorded as
+    For odd n the rest is `_odd_cost`'s vertex, weight 1/2, recorded as
     `pivot`.  `edges` is the caller's own count of the edges mask induces;
     the recomputed bound must equal (2 * edges + the pivot's cost) / (2n^2).
     """
     n = g.n
-    pairs, cost, params = [(mask, 1)], 0, {**params, "induced_edges": edges}
+    rest, cost, params = 0, 0, {**params, "induced_edges": edges}
     if n % 2:
         cost, pivot = _odd_cost(g.adj, n, mask)
-        pairs.append((1 << pivot, Fraction(1, 2)))
+        rest = 1 << pivot
         params["pivot"] = pivot
-    cert = certificate(g, method, Half.from_masks(n, pairs), params)
+    cert = certificate(g, method, Half.from_masks(n, mask, rest), params)
     expected = Fraction(2 * edges + cost, 2 * n * n)
     require(cert.bound == expected, f"{method}: bound {cert.bound} != {expected}")
     return cert
 
 
-def _split_value(g: Graph, top: int, rest: int, p) -> Fraction:
-    """rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest: beta of weight 1 on top and p on rest."""
+def _split_value(g: Graph, top: int, rest: int) -> Fraction:
+    """rho_top + p * rho_{top,rest}/2 + p^2 * rho_rest, p = `_fill`: beta of `Half.from_masks`."""
+    p = _fill(g.n, top, rest)
     return (part_density(g, top) + p * cross_density(g, top, rest) / 2
             + p**2 * part_density(g, rest))
 
 
-def _split_half(g: Graph, method: str, top: int, rest: int, p, params) -> BoundCertificate:
-    """The half with weight 1 on `top` and p on `rest`, certified against its closed form.
+def _split_half(g: Graph, method: str, top: int, rest: int, params) -> BoundCertificate:
+    """`Half.from_masks(g.n, top, rest)`, certified against its closed form.
 
-    The recomputed bound must equal `_split_value(g, top, rest, p)`.
+    The recomputed bound must equal `_split_value(g, top, rest)`.
     """
-    cert = certificate(g, method, Half.from_masks(g.n, [(top, 1), (rest, p)]), params)
-    closed_form = _split_value(g, top, rest, p)
+    cert = certificate(g, method, Half.from_masks(g.n, top, rest), params)
+    closed_form = _split_value(g, top, rest)
     require(cert.bound == closed_form,
             f"{method}: bound {cert.bound} != closed form {closed_form}")
     return cert
@@ -350,10 +356,8 @@ def beta_exact(g: Graph):
         classes = len(last_seen)
         if nodes <= 3 * classes * classes or not _transitive_blowup(adj):
             walk(1, 0, 0, 0, [])
-    pairs = [(best_mask, 1)]
-    if odd:
-        pairs.append((1 << _odd_cost(adj, n, best_mask)[1], Fraction(1, 2)))
-    return Fraction(best_doubled, 2 * n * n), Half.from_masks(n, pairs)
+    rest = 1 << _odd_cost(adj, n, best_mask)[1] if odd else 0
+    return Fraction(best_doubled, 2 * n * n), Half.from_masks(n, best_mask, rest)
 
 
 # ---------------------------------------------------------------------------

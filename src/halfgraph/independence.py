@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .exactmath import Polynomial, RationalFunc
 from .graphcore import Graph, _bits, _induced_edges, _mask_of, independence_number
-from .halves import BoundCertificate, _mask_certificate, _split_half, _split_value, require
+from .halves import BoundCertificate, _fill, _mask_certificate, _split_half, _split_value, require
 
 
 def grow_low_spill_set(g: Graph, start_mask: int, spill_cap: int, target: int) -> int:
@@ -115,19 +115,17 @@ def independence_half(g: Graph) -> BoundCertificate:
     best = None
     for v0 in _bits(b_mask):
         fan_mask = g.adj[v0] & d_mask
-        rest_mask = d_mask & ~fan_mask
-        p_e = Fraction(fan_mask.bit_count(), n)
-        p_f = Fraction(rest_mask.bit_count(), n)
-        numer = Fraction(1, 2) - p_b - p_e
-        require(p_f != 0 or numer == 0, "empty remainder with weight left to place")
-        p = numer / p_f if p_f else Fraction(0)
+        top_mask, rest_mask = b_mask | fan_mask, d_mask & ~fan_mask
+        require(rest_mask or 2 * top_mask.bit_count() == n,
+                "empty remainder with weight left to place")
+        p = _fill(n, top_mask, rest_mask)
         require(0 <= p <= 1, f"fractional weight {p} escaped [0, 1]")
-        value = _split_value(g, b_mask | fan_mask, rest_mask, p)
+        value = _split_value(g, top_mask, rest_mask)
         if best is None or value < best[0]:
-            best = (value, v0, b_mask | fan_mask, rest_mask, p)
+            best = (value, v0, top_mask, rest_mask, p)
     require(best is not None, "fractional case: the grown set is empty")
     _, v0, top_mask, rest_mask, p = best
-    return _split_half(g, "independence", top_mask, rest_mask, p, {
+    return _split_half(g, "independence", top_mask, rest_mask, {
         **base_params, "case": "fractional-rest", "p_b": p_b, "pivot": v0, "p": p})
 
 

@@ -46,11 +46,8 @@ from halfgraph.halves import (
 
 
 def _witness(n, mask, half_vertex=None):
-    """Weight 1 on mask, plus 1/2 on half_vertex when one is given."""
-    pairs = [(mask, 1)]
-    if half_vertex is not None:
-        pairs.append((1 << half_vertex, Fraction(1, 2)))
-    return Half.from_masks(n, pairs)
+    """Weight 1 on the n//2-set mask, plus 1/2 on half_vertex when one is given."""
+    return Half.from_masks(n, mask, 0 if half_vertex is None else 1 << half_vertex)
 
 
 def _beta_scan(g):
@@ -251,7 +248,33 @@ def test_beta_of_half_validation():
 
 def test_overlapping_masks_are_a_half_error():
     with pytest.raises(HalfError, match="two weight classes"):
-        Half.from_masks(5, [(0b00101, 1), (0b00110, Fraction(1, 2))])
+        Half.from_masks(5, 0b00101, 0b00110)
+
+
+@pytest.mark.parametrize("top, rest", [(0b1000, 0), (0b011, 0b1000), (0b10000, 0b100)])
+def test_a_mask_past_the_last_vertex_is_a_half_error(top, rest):
+    with pytest.raises(HalfError, match=r"at or above n = 3$"):
+        Half.from_masks(3, top, rest)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 14))
+def test_from_masks_fills_the_rest_up_to_half_the_order(seed, n):
+    # weight 1 on top and one weight in [0, 1] on rest, whenever |top| <= n/2 <= |top| + |rest|
+    rng = random.Random(seed)
+    g = rand_graph(rng, n, rng.choice([0.1, 0.35, 0.7]))
+    top_size = rng.randint(0, n // 2)
+    rest_size = rng.randint((n + 1) // 2 - top_size, n - top_size)
+    chosen = rng.sample(range(n), top_size + rest_size)
+    top = sum(1 << v for v in chosen[:top_size])
+    rest = sum(1 << v for v in chosen[top_size:])
+    half = Half.from_masks(n, top, rest)
+    on_rest = {half.weights[v] for v in _bits(rest)}
+    assert [half.weights[v] for v in _bits(top)] == [1] * top_size
+    assert len(on_rest) <= 1 and all(0 <= p <= 1 for p in on_rest)
+    assert sum(half.weights) == Fraction(n, 2)
+    assert not any(w for v, w in enumerate(half.weights) if not (top | rest) >> v & 1)
+    assert beta_of_half(g, half) == halves._split_value(g, top, rest)
 
 
 @st.composite
@@ -845,7 +868,7 @@ def _half_building_calls(tree: ast.AST, module: str) -> set:
 
 
 def test_only_the_two_builders_certify_a_half():
-    # every returned certificate is a mask (+ pivot) or a (top, rest, p) split
+    # every returned certificate is a mask (+ pivot) or a (top, rest) split
     package = Path(halfgraph.__file__).parent
     found = set()
     for path in sorted(package.glob("*.py")):
