@@ -150,14 +150,20 @@ MUTANTS = [
     ),
     (  # the root's exclude subtree cut on every graph, with no proof of symmetry
         HALVES,
-        "if nodes <= 3 * classes * classes or not _transitive_blowup(adj):",
+        "if nodes <= 5 * classes * classes or not _transitive_blowup(adj):",
         "if False:",
         [HALVES_TESTS + "test_warm_started_search_matches_the_cold_oracle"],
     ),
     (  # the cost rule dropped: symmetry is proved, and Clebsch's exclude subtree cut, at once
         HALVES,
-        "if nodes <= 3 * classes * classes or not _transitive_blowup(adj):",
+        "if nodes <= 5 * classes * classes or not _transitive_blowup(adj):",
         "if not _transitive_blowup(adj):",
+        [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
+    ),
+    (  # the cost rule sized for 1.1 us a node: petersen x2 pays for a proof that saves less
+        HALVES,
+        "if nodes <= 5 * classes * classes or",
+        "if nodes <= 3 * classes * classes or",
         [HALVES_TESTS + "test_branch_and_bound_node_counts_are_pinned"],
     ),
     (  # the symmetry proof lifts the quotient's automorphisms to twin classes of unequal size
@@ -323,6 +329,18 @@ MUTANTS = [
         "root = Fraction(2, 5)",
         "root = Fraction(3, 8)",
         [VERIFY_TESTS + "test_two_fifths_row"],
+    ),
+    (  # an equality row passes whatever its two sides are
+        VERIFY,
+        "left == right",
+        "True",
+        [VERIFY_TESTS + "test_equality_rows_fail_on_a_wrong_q1"],
+    ),
+    (  # a count row passes whatever it counts
+        VERIFY,
+        "bad == 0",
+        "True",
+        [VERIFY_TESTS + "test_count_row_fails_when_graphs_lie_below_the_line"],
     ),
     (  # every row written as passing: the JSON hides a crashed check
         REPORT,

@@ -175,26 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around sparse halves of triangle-free graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    target = argparse.ArgumentParser(add_help=False)
+    one_graph = target.add_mutually_exclusive_group(required=True)
+    one_graph.add_argument("--named", choices=NAMED_GRAPH_NAMES)
+    one_graph.add_argument("--file")
 
     graphs = sub.add_parser("graphs", help="enumerate or inspect graphs")
     gsub = graphs.add_subparsers(dest="graphs_cmd", required=True)
     enum = gsub.add_parser("enumerate", help="triangle-free graphs up to isomorphism")
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--count-only", action="store_true")
-    info = gsub.add_parser("info", help="basic facts about one graph")
-    target = info.add_mutually_exclusive_group(required=True)
-    target.add_argument("--named", choices=NAMED_GRAPH_NAMES)
-    target.add_argument("--file")
+    gsub.add_parser("info", help="basic facts about one graph", parents=[target])
 
     beta = sub.add_parser("beta", help="exact beta or certified upper bounds")
     bsub = beta.add_subparsers(dest="beta_cmd", required=True)
     for name, help_text in (("exact", "exact minimum over halves"),
                             ("bound", "certified upper bound via one construction "
                                       "(triangle-free graphs only)")):
-        p = bsub.add_parser(name, help=help_text)
-        tgt = p.add_mutually_exclusive_group(required=True)
-        tgt.add_argument("--named", choices=NAMED_GRAPH_NAMES)
-        tgt.add_argument("--file")
+        p = bsub.add_parser(name, help=help_text, parents=[target])
         if name == "bound":
             p.add_argument("--method", required=True,
                            choices=[*BOUND_METHODS, "krivelevich"])

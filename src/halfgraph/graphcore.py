@@ -22,7 +22,12 @@ class ResourceLimitError(Exception):
 
 
 class IntegrityError(Exception):
-    """Embedded or constructed graph data failed its validation."""
+    """A graph is not the strongly regular graph it was taken for.
+
+    `srg_parameters` raises it for any graph that is not strongly regular
+    (`halves._edge_floor` reads that as "no spectral floor"), and `named`
+    raises it when a built graph has other SRG parameters than its name's.
+    """
 
 
 class Graph6Error(ValueError):

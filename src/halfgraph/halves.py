@@ -275,9 +275,9 @@ def beta_exact(g: Graph):
     neither subtree replaces it.  Canonizing the twin quotient of q classes
     costs about 3.6 us per q^2, as much as about 5q^2 search nodes at
     0.7 us a node.  The proof is tried only when the include subtree has
-    visited more than 3q^2 nodes: Petersen (67 nodes) and Clebsch (1,143)
-    never pay for it, and blowup(petersen, 3) goes from 3,999 to 1,957
-    nodes.
+    visited more than 5q^2 nodes: Petersen (67 nodes), Clebsch (1,143) and
+    blowup(petersen, 2) (736) never pay for it, and blowup(petersen, 3)
+    goes from 3,999 to 1,957 nodes.
     """
     n, adj = g.n, g.adj
     if n > EXACT_MAX_N:
@@ -354,7 +354,7 @@ def beta_exact(g: Graph):
     if half_size and best_doubled:
         walk(1, 1 << order[0], 1, 0, [rows[0]])
         classes = len(last_seen)
-        if nodes <= 3 * classes * classes or not _transitive_blowup(adj):
+        if nodes <= 5 * classes * classes or not _transitive_blowup(adj):
             walk(1, 0, 0, 0, [])
     rest = 1 << _odd_cost(adj, n, best_mask)[1] if odd else 0
     return Fraction(best_doubled, 2 * n * n), Half.from_masks(n, best_mask, rest)

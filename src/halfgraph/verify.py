@@ -71,44 +71,45 @@ def _small_graphs(max_n: int) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# counts and quadrilaterals
+# The shared row shapes.  Each side is a lambda that looks its names up when
+# the row runs, so a helper patched on this module or its math module
+# reaches the row.
 # ---------------------------------------------------------------------------
 
 
-def _level_count(n: int, expected: int):
+def _equal(lhs: Callable[[], object], rhs: Callable[[], object], show=str):
+    """Show both sides and pass iff they are equal; each side runs once, when the row runs."""
     def compute(_seed):
-        found = len(enumerate_triangle_free(n))
-        return found, expected, found == expected
+        left, right = lhs(), rhs()
+        return show(left), show(right), left == right
     return compute
 
 
-def _flag_count(_seed):
-    found = count_edge_rooted_flags4()
-    return found, 10, found == 10
+def _numerator(f: RationalFunc) -> str:
+    return repr(f.num)
 
 
-def _beta_is_fiftieth(name: str):
-    def compute(_seed):
-        value = beta_exact(named(name).graph)[0]
-        return value, "1/50", value == FIFTIETH
-    return compute
-
-
-def _no_violations(max_n: int, violates: Callable[[Graph], bool]):
+def _no_violations(max_n: int, violates: Callable[[Graph], bool], noun: str = "violations"):
     """Count the graphs with n <= max_n on which `violates` holds; 0 passes."""
     def compute(_seed):
         bad = sum(1 for g in _small_graphs(max_n) if violates(g))
-        return f"{bad} violations", "0", bad == 0
+        return f"{bad} {noun}", "0", bad == 0
     return compute
 
 
-def _c4_meets(name: str, line: Callable[[Graph], Fraction]):
-    """The named graph's C4 density equals `line(g)`, the lower line at its rho."""
+def _at_most_fiftieth(value_of: Callable[[], Fraction]):
     def compute(_seed):
-        g = named(name).graph
-        value = c4_density(g)
-        return value, line(g), value == line(g)
+        value = value_of()
+        return str(value), "<= 1/50", value <= FIFTIETH
     return compute
+
+
+_ALPHA, _PB, _DELTA, _E1, _E2 = Polynomial.variables_named("alpha", "pb", "delta", "e1", "e2")
+
+
+# ---------------------------------------------------------------------------
+# counts and quadrilaterals
+# ---------------------------------------------------------------------------
 
 
 def _general_27_1024(_seed):
@@ -131,35 +132,6 @@ def _q_is_polynomial(_seed):
         return "polynomial", "exact division", not q.is_zero()
     except ExactDivisionError as err:
         return f"remainder {err.remainder!r}", "exact division", False
-
-
-def _dq_drho(_seed):
-    delta, e2 = Polynomial.variables_named("delta", "e2")
-    expected = -25 * (1 - 2 * e2) * (4 * delta**2 + 4 * delta * e2 - 4 * delta + 1)
-    lhs = exactmath.sparse_margin_poly().derive("rho")
-    return repr(lhs), repr(expected), lhs == expected
-
-
-def _q_degrees(_seed):
-    q = exactmath.sparse_margin_poly()
-    degs = (q.degree("rho"), q.degree("delta"), q.degree("e2"))
-    return str(degs), "(1, 2, 3)", degs == (1, 2, 3)
-
-
-def _q_vanishes_at_rho0(_seed):
-    val = exactmath.sparse_margin_poly().eval({"rho": RHO0, "delta": RHO0, "e2": RHO0})
-    return str(val), "0", val == 0
-
-
-def _alpha0_minus_gamma(_seed):
-    e1, e2 = Polynomial.variables_named("e1", "e2")
-    coeffs = exactmath.edge_split_coeffs()
-    lhs = RationalFunc(coeffs["alpha0"]) - coeffs["gamma"]
-    rhs = RationalFunc(
-        (1 - 2 * e1) * (1 - 2 * e2) * (1 - 2 * e1 - 2 * e2),
-        2 * (1 - e1 - e2),
-    )
-    return repr(lhs), repr(rhs), lhs == rhs
 
 
 _QUARTER = Fraction(1, 4)
@@ -199,15 +171,6 @@ def _maxdeg_petersen(_seed):
     cert = maxdeg_halves(named("petersen").graph)
     value = cert.params["analytic_bound"]
     return value, "3/98", value == Fraction(3, 98) and cert.bound <= value
-
-
-def _maxdeg_combination(_seed):
-    bad = sum(
-        1 for g in _small_graphs(7)
-        if g.edge_count() and max_degree_rel(g) < Fraction(1, 2)
-        and maxdeg_combination_residual(g) != 0
-    )
-    return f"{bad} nonzero residuals", "0", bad == 0
 
 
 def _triple_small_graphs(_seed):
@@ -273,13 +236,6 @@ def _below_rho0(density: Callable[[], Fraction], expected: Fraction):
     return compute
 
 
-def _at_most_fiftieth(value_of: Callable[[], Fraction]):
-    def compute(_seed):
-        value = value_of()
-        return str(value), "<= 1/50", value <= FIFTIETH
-    return compute
-
-
 def _higman_sims(seed):
     cert = local_search_half(named("higman_sims").graph, seed=seed)
     return str(cert.bound), "<= 1/50 - 1/10000", cert.bound <= FIFTIETH - Fraction(1, 10**4)
@@ -337,33 +293,6 @@ def _beta_bound_identity(_seed):
 # ---------------------------------------------------------------------------
 
 
-def _dq_drbd(_seed):
-    a, b = Polynomial.variables_named("alpha", "pb")
-    lhs = independence._q_form().derive("rbd").subs("rbd", independence._saturated_rbd())
-    rhs = RationalFunc(b - a, 8 * b)
-    return repr(lhs.num), repr(rhs.num), lhs == rhs
-
-
-def _q_saturated_is_q1(_seed):
-    lhs = independence._q_form().subs("rbd", independence._saturated_rbd())
-    rhs = RationalFunc(independence._q1_form())
-    return repr(lhs.num), repr(rhs.num), lhs == rhs
-
-
-def _dq1_dpb(_seed):
-    a = Polynomial.var("alpha")
-    lhs = independence._q1_form().derive("pb").subs("pb", a)
-    rhs = (1 - 3 * a) / 2
-    return repr(lhs), repr(rhs), lhs == rhs
-
-
-def _q1_diagonal(_seed):
-    a = Polynomial.var("alpha")
-    lhs = independence._q1_form().subs("pb", a)
-    rhs = a / 2 * (Fraction(1, 2) - a)
-    return repr(lhs), repr(rhs), lhs == rhs
-
-
 def _q_concave_in_rbd(_seed):
     coeff = independence._q_form().num.coefficient("rbd", 2)
     return repr(coeff), "-3 (over the 16*pb^2 denominator)", coeff == Polynomial.const(-3)
@@ -381,12 +310,6 @@ def _two_fifths(_seed):
     return (f"(1/2)(alpha - {root})(alpha - 1/10) = {product!r}, factors "
             f"{'>=' if nonneg else 'not >='} 0 on [{root}, 1/2]",
             f"1/50 - (alpha/2)(1/2 - alpha) = {lhs!r}", lhs == product and nonneg)
-
-
-def _independence_petersen(_seed):
-    g = named("petersen").graph
-    cert = independence_half(g)
-    return cert.bound, "<= 1/50", cert.bound <= FIFTIETH
 
 
 _RANDOM_SAMPLES = 200
@@ -447,13 +370,26 @@ def _sparse_identities(step: Fraction) -> list[Check]:
     return [
         Check("sparse.q_is_polynomial",
               "(1/50 - f) * 200*(1-d-e2)*(1-d-e2+2*d*e2) is a polynomial", _q_is_polynomial),
-        Check("sparse.dq_drho", "dQ/drho = -25*(1-2e2)*(4d^2+4d*e2-4d+1)", _dq_drho),
+        Check("sparse.dq_drho", "dQ/drho = -25*(1-2e2)*(4d^2+4d*e2-4d+1)", _equal(
+            lambda: exactmath.sparse_margin_poly().derive("rho"),
+            lambda: -25 * (1 - 2 * _E2) * (4 * _DELTA**2 + 4 * _DELTA * _E2 - 4 * _DELTA + 1),
+            repr)),
         Check("sparse.q_degrees",
-              "individual degrees of Q in (rho, delta, e2) are (1, 2, 3)", _q_degrees),
+              "individual degrees of Q in (rho, delta, e2) are (1, 2, 3)", _equal(
+                  lambda: tuple(map(exactmath.sparse_margin_poly().degree,
+                                    ("rho", "delta", "e2"))),
+                  lambda: (1, 2, 3))),
         Check("sparse.q_vanishes_at_rho0",
-              f"Q(rho0, rho0, rho0) = 0 with rho0 = {RHO0_STR}", _q_vanishes_at_rho0),
+              f"Q(rho0, rho0, rho0) = 0 with rho0 = {RHO0_STR}", _equal(
+                  lambda: exactmath.sparse_margin_poly().eval(
+                      dict.fromkeys(("rho", "delta", "e2"), RHO0)),
+                  lambda: 0)),
         Check("sparse.alpha0_minus_gamma",
-              "alpha0 - gamma = (1-2e1)(1-2e2)(1-2e1-2e2) / (2(1-e1-e2))", _alpha0_minus_gamma),
+              "alpha0 - gamma = (1-2e1)(1-2e2)(1-2e1-2e2) / (2(1-e1-e2))", _equal(
+                  lambda: RationalFunc((c := exactmath.edge_split_coeffs())["alpha0"]) - c["gamma"],
+                  lambda: RationalFunc((1 - 2 * _E1) * (1 - 2 * _E2) * (1 - 2 * _E1 - 2 * _E2),
+                                       2 * (1 - _E1 - _E2)),
+                  repr)),
         Check("sparse.taylor_signs",
               "Taylor coefficients of Q1 at e2=rho0: nonneg for even r, "
               "negative for odd r, for delta in [rho0, 1/4]", partial(_taylor_signs, step)),
@@ -511,26 +447,38 @@ SRG_CASES = [
 # The four closed-form identities of the averaged bound, plus its concavity.
 INDEPENDENCE_IDENTITIES = [
     Check("independence.dq_drbd",
-          "dQ/drbd at rbd = pb(1-alpha-pb) equals (pb-alpha)/(8pb)", _dq_drbd),
+          "dQ/drbd at rbd = pb(1-alpha-pb) equals (pb-alpha)/(8pb)", _equal(
+              lambda: independence._q_form().derive("rbd").subs(
+                  "rbd", independence._saturated_rbd()),
+              lambda: RationalFunc(_PB - _ALPHA, 8 * _PB), _numerator)),
     Check("independence.q_saturated_is_q1",
-          "Q at rbd = pb(1-alpha-pb) collapses to the quadratic Q1", _q_saturated_is_q1),
-    Check("independence.dq1_dpb", "dQ1/dpb at pb = alpha equals (1-3*alpha)/2", _dq1_dpb),
-    Check("independence.q1_diagonal", "Q1(alpha, alpha) equals (alpha/2)(1/2 - alpha)",
-          _q1_diagonal),
+          "Q at rbd = pb(1-alpha-pb) collapses to the quadratic Q1", _equal(
+              lambda: independence._q_form().subs("rbd", independence._saturated_rbd()),
+              lambda: RationalFunc(independence._q1_form()), _numerator)),
+    Check("independence.dq1_dpb", "dQ1/dpb at pb = alpha equals (1-3*alpha)/2", _equal(
+        lambda: independence._q1_form().derive("pb").subs("pb", _ALPHA),
+        lambda: (1 - 3 * _ALPHA) / 2, repr)),
+    Check("independence.q1_diagonal", "Q1(alpha, alpha) equals (alpha/2)(1/2 - alpha)", _equal(
+        lambda: independence._q1_form().subs("pb", _ALPHA),
+        lambda: _ALPHA / 2 * (Fraction(1, 2) - _ALPHA), repr)),
     Check("independence.q_concave_in_rbd", "coefficient of rbd^2 in Q is -3/(16 pb^2) < 0",
           _q_concave_in_rbd),
 ]
 
 SECTIONS: dict[str, list[Check]] = {
     "counts": [
-        Check("counts.m6", "triangle-free graphs on 6 vertices: 38", _level_count(6, 38)),
-        Check("counts.m8", "triangle-free graphs on 8 vertices: 410", _level_count(8, 410)),
-        Check("counts.flags4", "edge-rooted triangle-free 4-vertex flags: 10", _flag_count),
+        Check("counts.m6", "triangle-free graphs on 6 vertices: 38",
+              _equal(lambda: len(enumerate_triangle_free(6)), lambda: 38)),
+        Check("counts.m8", "triangle-free graphs on 8 vertices: 410",
+              _equal(lambda: len(enumerate_triangle_free(8)), lambda: 410)),
+        Check("counts.flags4", "edge-rooted triangle-free 4-vertex flags: 10",
+              _equal(lambda: count_edge_rooted_flags4(), lambda: 10)),
     ],
     "quadrilaterals": [
-        Check("quad.beta_c5", "exact beta of the 5-cycle is 1/50", _beta_is_fiftieth("c5")),
+        Check("quad.beta_c5", "exact beta of the 5-cycle is 1/50",
+              _equal(lambda: beta_exact(named("c5").graph)[0], lambda: FIFTIETH)),
         Check("quad.beta_petersen", "exact beta of the Petersen graph is 1/50",
-              _beta_is_fiftieth("petersen")),
+              _equal(lambda: beta_exact(named("petersen").graph)[0], lambda: FIFTIETH)),
         Check("quad.trivial_bound",
               "C4 >= 3 rho^4/(1-rho) on all triangle-free graphs, n <= 8",
               _no_violations(8, lambda g: rho(g) < 1
@@ -540,13 +488,15 @@ SECTIONS: dict[str, list[Check]] = {
               _no_violations(8, lambda g: c4_density(g) < c4_lower_general(rho(g)))),
         Check("quad.clebsch_tight",
               "equality at the Clebsch graph (C4 = 195/4096 at rho = 5/16)",
-              _c4_meets("clebsch", lambda g: c4_lower_general(rho(g)))),
+              _equal(lambda: c4_density(named("clebsch").graph),
+                     lambda: c4_lower_general(rho(named("clebsch").graph)))),
         Check("quad.matchingfree_line",
               "C4 >= (3/2)rho^2 - (6/25)rho without induced 2-matchings, n <= 8",
               _no_violations(8, lambda g: not has_induced_2matching(g)
                              and c4_density(g) < c4_lower_no_2matching(rho(g)))),
         Check("quad.c5_tight", "equality at the 5-cycle (C4 = 18/125 at rho = 2/5)",
-              _c4_meets("c5", lambda g: c4_lower_no_2matching(rho(g)))),
+              _equal(lambda: c4_density(named("c5").graph),
+                     lambda: c4_lower_no_2matching(rho(named("c5").graph)))),
         Check("quad.averaged_split_bound",
               "beta <= rho/8 - C4/(12 rho) on all triangle-free graphs, n <= 7",
               _no_violations(7, lambda g: g.edge_count() > 0
@@ -561,7 +511,9 @@ SECTIONS: dict[str, list[Check]] = {
               _maxdeg_petersen),
         Check("sparse.maxdeg_combination",
               "two-half combination reproduces the degree lemma exactly, n <= 7",
-              _maxdeg_combination),
+              _no_violations(7, lambda g: g.edge_count() > 0
+                             and max_degree_rel(g) < Fraction(1, 2)
+                             and maxdeg_combination_residual(g) != 0, "nonzero residuals")),
         Check("sparse.triple_small_graphs",
               "three-half bound consistent on all low-degree graphs, n <= 7",
               _triple_small_graphs),
@@ -581,7 +533,7 @@ SECTIONS: dict[str, list[Check]] = {
               "the guarantee (alpha/2)(1/2 - alpha) is <= 1/50 for 2/5 <= alpha <= 1/2",
               _two_fifths),
         Check("independence.petersen", "constructive half on Petersen certifies <= 1/50",
-              _independence_petersen),
+              _at_most_fiftieth(lambda: independence_half(named("petersen").graph).bound)),
         Check("independence.random_graphs",
               f"certificate <= (alpha/2)(1/2-alpha) on {_RANDOM_SAMPLES} random "
               "even-order triangle-free graphs with alpha >= 3/8",

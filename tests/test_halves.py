@@ -470,9 +470,11 @@ def test_warm_started_search_matches_the_cold_oracle():
     # the root's exclude subtree is cut: 3,999 and 1,069 nodes without the cut
     (blowup(petersen(), 3), Fraction(1, 50), 1_957),
     (blowup(cycle(5), 5), Fraction(1, 50), 656),
-    # the include subtree's 568 nodes are below 3 * 16^2, so symmetry is never tried
+    # the include subtrees' 568 and 312 nodes are below 5 * 16^2 and 5 * 10^2, so
+    # symmetry is never tried: on petersen x2 its proof costs more than the 423 nodes it cuts
     (named("clebsch").graph, Fraction(1, 64), 1_143),
-], ids=["petersen x3", "c5 x5", "clebsch"])
+    (blowup(petersen(), 2), Fraction(1, 50), 736),
+], ids=["petersen x3", "c5 x5", "clebsch", "petersen x2"])
 def test_branch_and_bound_node_counts_are_pinned(g, value, nodes, monkeypatch):
     # a weaker completion bound would visit more nodes with the same value and witness
     monkeypatch.setattr(halves, "MAX_NODES", nodes)

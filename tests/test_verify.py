@@ -1,6 +1,8 @@
 """Tests for the check registry: its rows, their order, and the layering around it."""
 
 import ast
+import hashlib
+import json
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -8,10 +10,18 @@ from pathlib import Path
 import pytest
 
 import halfgraph
+from halfgraph import independence
 from halfgraph.density import c4_lower_general
+from halfgraph.exactmath import Polynomial
 from halfgraph.girth5 import FIFTIETH
 from halfgraph.report import run_check
-from halfgraph.verify import INDEPENDENCE_IDENTITIES, SECTIONS, SRG_CASES, _sparse_identities
+from halfgraph.verify import (
+    INDEPENDENCE_IDENTITIES,
+    SECTIONS,
+    SRG_CASES,
+    _sparse_identities,
+    run,
+)
 
 REPORT_ORDER = [
     "counts.m6", "counts.m8", "counts.flags4",
@@ -62,9 +72,43 @@ def test_every_registry_row_passes(check):
     assert result.passed, (result.computed, result.bound)
 
 
+def test_the_whole_report_is_pinned():
+    # every row's id, claim, both shown sides and verdict, in report order at seed 1
+    rows = [[c.id, c.claim, c.computed, c.bound, c.passed]
+            for r in run(list(SECTIONS), 1) for c in r.checks]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "8aa6674534122551c295785e3a4a281f7ddeb07b1b07b68343ef59b500d0531c"
+
+
 def _row(check_id):
     check = next(c for checks in SECTIONS.values() for c in checks if c.id == check_id)
     return check.compute(1)
+
+
+def test_equality_rows_fail_on_a_wrong_q1(monkeypatch):
+    # Q1 + pb: the right-hand side of q_saturated_is_q1 and the left of dq1_dpb
+    # and q1_diagonal change; dq_drbd and q_concave_in_rbd never read Q1
+    wrong = independence._q1_form() + Polynomial.var("pb")
+    monkeypatch.setattr(independence, "_q1_form", lambda: wrong)
+    rows = {c.id: c.compute(1) for c in INDEPENDENCE_IDENTITIES}
+    failing = {check_id: (computed, bound)
+               for check_id, (computed, bound, passed) in rows.items() if not passed}
+    assert failing == {
+        "independence.q_saturated_is_q1": (
+            "(13)*alpha^2*pb^2 + (-18)*alpha*pb^3 + (-3)*pb^4 + (-4)*alpha*pb^2 + (8)*pb^3",
+            "(13/16)*alpha^2 + (-9/8)*alpha*pb + (-3/16)*pb^2 + (-1/4)*alpha + (3/2)*pb"),
+        "independence.dq1_dpb": ("(-3/2)*alpha + (3/2)", "(-3/2)*alpha + (1/2)"),
+        "independence.q1_diagonal": ("(-1/2)*alpha^2 + (5/4)*alpha",
+                                     "(-1/2)*alpha^2 + (1/4)*alpha"),
+    }
+
+
+def test_count_row_fails_when_graphs_lie_below_the_line(monkeypatch):
+    # the 8 edgeless graphs (rho = 0, C4 = 0) meet the general line; raised by
+    # 10^-6 it lies above exactly these
+    raised = lambda r: c4_lower_general(r) + Fraction(1, 10**6)
+    monkeypatch.setattr("halfgraph.verify.c4_lower_general", raised)
+    assert _row("quad.general_line") == ("8 violations", "0", False)
 
 
 def test_general_bound_row_is_27_1024():
