@@ -41,6 +41,8 @@ EXACTMATH_TESTS = "tests/test_exactmath.py::"
 SRG = "halfgraph/srg.py"
 SRG_TESTS = "tests/test_srg.py::"
 DENSITY = "halfgraph/density.py"
+GIRTH5 = "halfgraph/girth5.py"
+GIRTH5_TESTS = "tests/test_girth5.py::"
 VERIFY = "halfgraph/verify.py"
 VERIFY_TESTS = "tests/test_verify.py::"
 REPORT = "halfgraph/report.py"
@@ -336,11 +338,24 @@ MUTANTS = [
         "True",
         [VERIFY_TESTS + "test_equality_rows_fail_on_a_wrong_q1"],
     ),
-    (  # a count row passes whatever it counts
+    (  # a scan row passes whatever it counts
         VERIFY,
         "bad == 0",
         "True",
         [VERIFY_TESTS + "test_count_row_fails_when_graphs_lie_below_the_line"],
+    ),
+    (  # a one-value row passes whatever the value is
+        VERIFY,
+        "ok(value)",
+        "True",
+        [VERIFY_TESTS + "test_one_value_row_fails_on_a_wrong_krein_bound"],
+    ),
+    (  # each absorbed vertex counted against the edges once instead of twice
+        GIRTH5,
+        "e += (k * t - 2 * e) // (n - t)",
+        "e += (k * t - e) // (n - t)",
+        [GIRTH5_TESTS + "test_report_shape_and_bounds",
+         GIRTH5_TESTS + "test_extremal_cells_are_tight"],
     ),
     (  # every row written as passing: the JSON hides a crashed check
         REPORT,

@@ -4,8 +4,8 @@ A minimal counterexample with maximum degree k on n vertices is squeezed
 between a lower and an upper bound on n; k >= 7 dies to a closed-form bound
 and k = 1, 6 to empty windows, leaving 80 (k, n) cells.  Each cell is killed
 by a bound beta_u built from a Ramsey-extracted independent set and the
-worst-case completion function gamma(k, n, t, e), computed by exact
-recursion.  All arithmetic is integer/Fraction with floors exactly as the
+worst-case completion function gamma(k, n, t, e), computed by an exact
+loop.  All arithmetic is integer/Fraction with floors exactly as the
 derivation specifies.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil
 
 #: small off-diagonal Ramsey numbers R(3, u); all the driver ever needs
@@ -59,29 +58,26 @@ def n_window(k: int) -> tuple[int, int]:
     return lower, upper
 
 
-@lru_cache(maxsize=None)
 def gamma(k: int, n: int, t: int, e: int) -> Fraction:
     """Worst-case minimum half-value when a t-set with <= e edges is forced in.
 
     The adversary presents an n-vertex graph of max degree k containing a
-    t-set A with at most e induced edges; the half must contain A.  The
-    recursion absorbs one lightest vertex at a time until the half is full,
-    maximizing over the actual edge count e* <= e at each step.
+    t-set A with at most e induced edges; the half must contain A.  Each step
+    absorbs one lightest vertex and maximizes e* + floor((kt - 2e*)/(n - t))
+    over e* <= e (2e* + ... in the odd last step).  The maximum is at e* = e:
+    one more edge adds 1 (or 2) and lowers the floor by at most 1, as n - t >= 2
+    (by at most 2 when n = 1).
     """
     if min(k, n, t, e) < 0:
         raise ValueError("arguments must be non-negative")
     if t > n // 2:
         raise ValueError(f"t = {t} exceeds floor(n/2) = {n // 2}")
-    if n % 2 == 0 and t == n // 2:
-        return Fraction(e, n * n)
-    if n % 2 == 1 and t == (n - 1) // 2:
-        best = max(
-            Fraction(2 * e_star + (k * t - 2 * e_star) // (n - t), 2)
-            for e_star in range(e + 1)
-        )
-        return best / (n * n)
-    grown = max(e_star + (k * t - 2 * e_star) // (n - t) for e_star in range(e + 1))
-    return gamma(k, n, t + 1, grown)
+    while t < n // 2:
+        e += (k * t - 2 * e) // (n - t)
+        t += 1
+    if n % 2 == 1:
+        return Fraction(2 * e + (k * t - 2 * e) // (n - t), 2) / (n * n)
+    return Fraction(e, n * n)
 
 
 def beta_u(k: int, n: int, u: int, truncated_inner: bool = False) -> Fraction | None:
@@ -111,15 +107,14 @@ def beta_u(k: int, n: int, u: int, truncated_inner: bool = False) -> Fraction | 
 
 def girth5_master(k: int, n: int, truncated_inner: bool = False) -> tuple[Fraction, int]:
     """Minimum of beta_u over admissible u; returns (bound, chosen u)."""
-    candidates = {}
+    candidates = []
     for u in range(0, min((n - 2 * k + 1) // 2, 5) + 1):
         value = beta_u(k, n, u, truncated_inner)
         if value is not None:
-            candidates[u] = value
+            candidates.append((value, u))
     if not candidates:
         raise ValueError(f"no admissible u for (k, n) = ({k}, {n})")
-    chosen = min(candidates, key=lambda u: (candidates[u], u))
-    return candidates[chosen], chosen
+    return min(candidates)
 
 
 @dataclass(frozen=True)

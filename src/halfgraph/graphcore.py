@@ -817,14 +817,7 @@ def _validate_named(name: str, g: Graph, expected: tuple[int, int, int, int]) ->
 
 def petersen() -> Graph:
     """Kneser graph K(5,2): 2-subsets of a 5-set, adjacent iff disjoint."""
-    verts = list(combinations(range(5), 2))
-    index = {s: i for i, s in enumerate(verts)}
-    edges = [
-        (index[a], index[b])
-        for a, b in combinations(verts, 2)
-        if not set(a) & set(b)
-    ]
-    return Graph.from_edges(10, edges)
+    return Graph(10, _disjoint_rows([_mask_of(s) for s in combinations(range(5), 2)]))
 
 
 def clebsch() -> Graph:

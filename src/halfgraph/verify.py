@@ -12,7 +12,7 @@ helper reaches the row.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -71,9 +71,9 @@ def _small_graphs(max_n: int) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# The shared row shapes.  Each side is a lambda that looks its names up when
-# the row runs, so a helper patched on this module or its math module
-# reaches the row.
+# The shared row shapes.  Each side, value or scan is a lambda or generator
+# that looks its names up when the row runs, so a helper patched on this
+# module or its math module reaches the row.
 # ---------------------------------------------------------------------------
 
 
@@ -89,19 +89,28 @@ def _numerator(f: RationalFunc) -> str:
     return repr(f.num)
 
 
-def _no_violations(max_n: int, violates: Callable[[Graph], bool], noun: str = "violations"):
-    """Count the graphs with n <= max_n on which `violates` holds; 0 passes."""
+def _no_violations(scan: Callable[[], Iterable[int]], shown="{bad} violations", bound="0"):
+    """Sum the failure counts (bools or ints) that `scan()` yields, one per checked item;
+    0 passes.  `shown` may name `bad` (the sum) and `items` (how many were yielded)."""
     def compute(_seed):
-        bad = sum(1 for g in _small_graphs(max_n) if violates(g))
-        return f"{bad} {noun}", "0", bad == 0
+        bad = items = 0
+        for count in scan():
+            bad += count
+            items += 1
+        return shown.format(bad=bad, items=items), bound, bad == 0
+    return compute
+
+
+def _holds(value_of: Callable[[], object], bound: str, ok: Callable[[object], bool], show=str):
+    """Show one value against a stated bound and pass iff `ok` accepts it."""
+    def compute(_seed):
+        value = value_of()
+        return show(value), bound, ok(value)
     return compute
 
 
 def _at_most_fiftieth(value_of: Callable[[], Fraction]):
-    def compute(_seed):
-        value = value_of()
-        return str(value), "<= 1/50", value <= FIFTIETH
-    return compute
+    return _holds(value_of, "<= 1/50", lambda value: value <= FIFTIETH)
 
 
 _ALPHA, _PB, _DELTA, _E1, _E2 = Polynomial.variables_named("alpha", "pb", "delta", "e1", "e2")
@@ -137,34 +146,24 @@ def _q_is_polynomial(_seed):
 _QUARTER = Fraction(1, 4)
 
 
-def _taylor_signs(step: Fraction, _seed):
+def _taylor_signs(step: Fraction):
+    """Per delta on the grid: the Taylor coefficients at e2 = rho0 with the wrong sign."""
     q = exactmath.sparse_margin_poly()
-    delta_grid = exactmath._rational_points(RHO0, _QUARTER, step)
-    bad = []
-    for dv in delta_grid:
+    for dv in exactmath._rational_points(RHO0, _QUARTER, step):
         coeffs = exactmath._e2_coefficients(q, RHO0, dv)
         taylor = exactmath._taylor_shift(coeffs, RHO0)
-        for r, c in enumerate(taylor):
-            ok = c.sign() >= 0 if r % 2 == 0 else c.sign() < 0
-            if not ok:
-                bad.append((dv, r, str(c)))
-    return (f"{len(delta_grid)} grid points, {len(bad)} violations",
-            "even r >= 0, odd r < 0", not bad)
+        yield sum(c.sign() < 0 if r % 2 == 0 else c.sign() >= 0 for r, c in enumerate(taylor))
 
 
-def _case2_boundary(step: Fraction, _seed):
+def _case2_boundary(step: Fraction):
+    """Per e2 on the grid: how many of Q1(e2,e2), Q1(1/4,e2), dQ1/ddelta|d=e2 are negative."""
     q = exactmath.sparse_margin_poly()
     dq_ddelta = q.derive("delta")
-    bad = []
     for ev in exactmath._rational_points(RHO0, _QUARTER, step):
         on_diag = q.eval({"rho": RHO0, "delta": ev, "e2": ev})
         at_quarter = q.eval({"rho": RHO0, "delta": _QUARTER, "e2": ev})
         slope = dq_ddelta.eval({"rho": RHO0, "delta": ev, "e2": ev})
-        for label, val in (("Q1(e2,e2)", on_diag), ("Q1(1/4,e2)", at_quarter),
-                           ("dQ1/ddelta|d=e2", slope)):
-            if val < 0:
-                bad.append((ev, label, str(val)))
-    return (f"{len(bad)} violations", ">= 0 on grid", not bad)
+        yield (on_diag < 0) + (at_quarter < 0) + (slope < 0)
 
 
 def _maxdeg_petersen(_seed):
@@ -211,16 +210,13 @@ def _dq_dc_identity(_seed):
     return "d(Q)/dc", "q(q+1)*(expected factor)/den^2", derived == expected
 
 
-def _q_increasing_in_c(_seed):
+def _q_increasing_in_c():
+    """Per (q, c) cell: a negative dQ/dc numerator, plus Q not above its value at c - 1."""
     factor = srg._dqdc_numerator_factor()
-    bad = []
     for q in range(1, 11):
         for c in range(1, q * (q + 1) + 1):
-            if factor.eval({"q": Fraction(q), "c": Fraction(c)}) < 0:
-                bad.append((q, c))
-            if c > 1 and rho_qc(q, c) <= rho_qc(q, c - 1):
-                bad.append((q, c, "not strictly increasing"))
-    return f"{len(bad)} violations", ">= 0 and strictly increasing", not bad
+            negative = factor.eval({"q": Fraction(q), "c": Fraction(c)}) < 0
+            yield negative + (c > 1 and rho_qc(q, c) <= rho_qc(q, c - 1))
 
 
 def _krein_decreasing(_seed):
@@ -230,22 +226,12 @@ def _krein_decreasing(_seed):
 
 
 def _below_rho0(density: Callable[[], Fraction], expected: Fraction):
-    def compute(_seed):
-        value = density()
-        return str(value), f"< rho0 = {RHO0_STR}", value == expected and RHO0 > value
-    return compute
+    return _holds(density, f"< rho0 = {RHO0_STR}", lambda value: value == expected and RHO0 > value)
 
 
 def _higman_sims(seed):
     cert = local_search_half(named("higman_sims").graph, seed=seed)
     return str(cert.bound), "<= 1/50 - 1/10000", cert.bound <= FIFTIETH - Fraction(1, 10**4)
-
-
-def _q2_c5_excluded(_seed):
-    p = srg_from_qc(2, 5)
-    return str(p.n), "non-integer order (inadmissible); also excluded by literature", (
-        not p.admissible
-    )
 
 
 def _q2_c3_multiplicities(_seed):
@@ -260,21 +246,14 @@ def _q2_c3_multiplicities(_seed):
             "f or g not an integer (inadmissible)", f.denominator != 1 or g.denominator != 1)
 
 
-def _krein_case(_seed):
-    value = srg_beta_bound(3, 12)
-    return str(value), "= 11/560 <= 1/50", value == Fraction(11, 560) and value <= FIFTIETH
-
-
-def _c4_closed_form_matches_graphs(_seed):
-    bad = []
+def _c4_closed_form_matches_graphs():
+    """Per named SRG: whether the closed-form C4 or k/n differs from the graph's own."""
     for name in ("petersen", "clebsch", "hoffman_singleton", "gewirtz", "m22", "higman_sims"):
         g = named(name).graph
         _, k, _, c = srg_parameters(g)
         q = (isqrt(c * c + 4 * (k - c)) - c) // 2
         p = srg_from_qc(q, c)
-        if srg_c4(p) != c4_density(g) or Fraction(p.k, g.n) != rho(g):
-            bad.append(name)
-    return f"{len(bad)} mismatches", "0", not bad
+        yield srg_c4(p) != c4_density(g) or Fraction(p.k, g.n) != rho(g)
 
 
 def _beta_bound_identity(_seed):
@@ -291,11 +270,6 @@ def _beta_bound_identity(_seed):
 # ---------------------------------------------------------------------------
 # independence: the averaging analysis and the constructive half
 # ---------------------------------------------------------------------------
-
-
-def _q_concave_in_rbd(_seed):
-    coeff = independence._q_form().num.coefficient("rbd", 2)
-    return repr(coeff), "-3 (over the 16*pb^2 denominator)", coeff == Polynomial.const(-3)
 
 
 def _two_fifths(_seed):
@@ -392,10 +366,13 @@ def _sparse_identities(step: Fraction) -> list[Check]:
                   repr)),
         Check("sparse.taylor_signs",
               "Taylor coefficients of Q1 at e2=rho0: nonneg for even r, "
-              "negative for odd r, for delta in [rho0, 1/4]", partial(_taylor_signs, step)),
+              "negative for odd r, for delta in [rho0, 1/4]",
+              _no_violations(partial(_taylor_signs, step), "{items} grid points, {bad} violations",
+                             "even r >= 0, odd r < 0")),
         Check("sparse.case2_boundary",
               "Q1(e2,e2) >= 0, Q1(1/4,e2) >= 0, dQ1/ddelta|_{delta=e2} >= 0 "
-              "for e2 in [rho0, 1/4]", partial(_case2_boundary, step)),
+              "for e2 in [rho0, 1/4]",
+              _no_violations(partial(_case2_boundary, step), bound=">= 0 on grid")),
     ]
 
 
@@ -411,7 +388,8 @@ SRG_CASES = [
           "factored numerator of dQ/dc matches the symbolic derivative", _dq_dc_identity),
     Check("srg.q_increasing_in_c",
           "dQ/dc numerator >= 0 and Q(q, c) strictly increasing in c "
-          "for 1 <= q <= 10, 1 <= c <= q(q+1)", _q_increasing_in_c),
+          "for 1 <= q <= 10, 1 <= c <= q(q+1)",
+          _no_violations(_q_increasing_in_c, bound=">= 0 and strictly increasing")),
     Check("srg.krein_density_decreasing", "Q1(q) strictly decreasing for q = 1..20",
           _krein_decreasing),
     Check("srg.krein_q4_below_rho0", "Q1(4) = 29/196 < rho0",
@@ -440,8 +418,13 @@ SRG_CASES = [
     Check("srg.q2_c3_multiplicities",
           "q=2, c=3: eigenvalue multiplicities f, g of (66, 13, 0, 3) are not both integers",
           _q2_c3_multiplicities),
-    Check("srg.q2_c5_excluded", "q=2, c=5: order n is not an integer", _q2_c5_excluded),
-    Check("srg.q3_c12_krein", "q=3, c=12: beta bound 11/560 <= 1/50", _krein_case),
+    Check("srg.q2_c5_excluded", "q=2, c=5: order n is not an integer",
+          _holds(lambda: srg_from_qc(2, 5),
+                 "non-integer order (inadmissible); also excluded by literature",
+                 lambda p: not p.admissible, show=lambda p: str(p.n))),
+    Check("srg.q3_c12_krein", "q=3, c=12: beta bound 11/560 <= 1/50",
+          _holds(lambda: srg_beta_bound(3, 12), "= 11/560 <= 1/50",
+                 lambda value: value == Fraction(11, 560) and value <= FIFTIETH)),
 ]
 
 # The four closed-form identities of the averaged bound, plus its concavity.
@@ -462,7 +445,9 @@ INDEPENDENCE_IDENTITIES = [
         lambda: independence._q1_form().subs("pb", _ALPHA),
         lambda: _ALPHA / 2 * (Fraction(1, 2) - _ALPHA), repr)),
     Check("independence.q_concave_in_rbd", "coefficient of rbd^2 in Q is -3/(16 pb^2) < 0",
-          _q_concave_in_rbd),
+          _holds(lambda: independence._q_form().num.coefficient("rbd", 2),
+                 "-3 (over the 16*pb^2 denominator)",
+                 lambda coeff: coeff == Polynomial.const(-3), repr)),
 ]
 
 SECTIONS: dict[str, list[Check]] = {
@@ -481,26 +466,28 @@ SECTIONS: dict[str, list[Check]] = {
               _equal(lambda: beta_exact(named("petersen").graph)[0], lambda: FIFTIETH)),
         Check("quad.trivial_bound",
               "C4 >= 3 rho^4/(1-rho) on all triangle-free graphs, n <= 8",
-              _no_violations(8, lambda g: rho(g) < 1
-                             and c4_density(g) < c4_lower_trivial(rho(g)))),
+              _no_violations(lambda: (rho(g) < 1 and c4_density(g) < c4_lower_trivial(rho(g))
+                                      for g in _small_graphs(8)))),
         Check("quad.general_line",
               "C4 >= (3/2)rho^2 - (81/256)rho on all triangle-free graphs, n <= 8",
-              _no_violations(8, lambda g: c4_density(g) < c4_lower_general(rho(g)))),
+              _no_violations(lambda: (c4_density(g) < c4_lower_general(rho(g))
+                                      for g in _small_graphs(8)))),
         Check("quad.clebsch_tight",
               "equality at the Clebsch graph (C4 = 195/4096 at rho = 5/16)",
               _equal(lambda: c4_density(named("clebsch").graph),
                      lambda: c4_lower_general(rho(named("clebsch").graph)))),
         Check("quad.matchingfree_line",
               "C4 >= (3/2)rho^2 - (6/25)rho without induced 2-matchings, n <= 8",
-              _no_violations(8, lambda g: not has_induced_2matching(g)
-                             and c4_density(g) < c4_lower_no_2matching(rho(g)))),
+              _no_violations(lambda: (not has_induced_2matching(g)
+                                      and c4_density(g) < c4_lower_no_2matching(rho(g))
+                                      for g in _small_graphs(8)))),
         Check("quad.c5_tight", "equality at the 5-cycle (C4 = 18/125 at rho = 2/5)",
               _equal(lambda: c4_density(named("c5").graph),
                      lambda: c4_lower_no_2matching(rho(named("c5").graph)))),
         Check("quad.averaged_split_bound",
               "beta <= rho/8 - C4/(12 rho) on all triangle-free graphs, n <= 7",
-              _no_violations(7, lambda g: g.edge_count() > 0
-                             and beta_exact(g)[0] > krivelevich_bound(g))),
+              _no_violations(lambda: (g.edge_count() > 0 and beta_exact(g)[0] > krivelevich_bound(g)
+                                      for g in _small_graphs(7)))),
         Check("quad.general_27_1024",
               "rho/8 - C4/(12 rho) with C4 >= (3/2)rho^2 - (81/256)rho is 27/1024 "
               "for every rho > 0", _general_27_1024),
@@ -511,9 +498,9 @@ SECTIONS: dict[str, list[Check]] = {
               _maxdeg_petersen),
         Check("sparse.maxdeg_combination",
               "two-half combination reproduces the degree lemma exactly, n <= 7",
-              _no_violations(7, lambda g: g.edge_count() > 0
-                             and max_degree_rel(g) < Fraction(1, 2)
-                             and maxdeg_combination_residual(g) != 0, "nonzero residuals")),
+              _no_violations(lambda: (g.edge_count() > 0 and max_degree_rel(g) < Fraction(1, 2)
+                                      and maxdeg_combination_residual(g) != 0
+                                      for g in _small_graphs(7)), "{bad} nonzero residuals")),
         Check("sparse.triple_small_graphs",
               "three-half bound consistent on all low-degree graphs, n <= 7",
               _triple_small_graphs),
@@ -522,7 +509,7 @@ SECTIONS: dict[str, list[Check]] = {
         *SRG_CASES,
         Check("srg.closed_form_matches_graphs",
               "closed-form C4 and k/n match the actual named graphs",
-              _c4_closed_form_matches_graphs),
+              _no_violations(_c4_closed_form_matches_graphs, "{bad} mismatches")),
         Check("srg.beta_bound_identity",
               "parameter bound equals the regular bound after substitution",
               _beta_bound_identity),

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -93,6 +94,23 @@ def test_gamma_monotone_in_e():
         t = rng.randint(1, n // 2)
         e = rng.randint(0, 6)
         assert gamma(k, n, t, e) <= gamma(k, n, t, e + 1)
+
+
+@lru_cache(maxsize=None)
+def _gamma_max_form(k, n, t, e):
+    # the recursion as derived: maximize over every edge count e* <= e at each step
+    if n % 2 == 0 and t == n // 2:
+        return Fraction(e, n * n)
+    if n % 2 == 1 and t == (n - 1) // 2:
+        return max(Fraction(2 * s + (k * t - 2 * s) // (n - t), 2) for s in range(e + 1)) / (n * n)
+    return _gamma_max_form(k, n, t + 1, max(s + (k * t - 2 * s) // (n - t) for s in range(e + 1)))
+
+
+def test_gamma_takes_each_maximum_at_the_full_edge_count():
+    mismatches = [(k, n, t, e) for k in range(8) for n in range(1, 40)
+                  for t in range(n // 2 + 1) for e in range(12)
+                  if gamma(k, n, t, e) != _gamma_max_form(k, n, t, e)]
+    assert mismatches == []
 
 
 def test_beta_u_hand_values():

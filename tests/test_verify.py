@@ -15,6 +15,7 @@ from halfgraph.density import c4_lower_general
 from halfgraph.exactmath import Polynomial
 from halfgraph.girth5 import FIFTIETH
 from halfgraph.report import run_check
+from halfgraph.srg import srg_c4
 from halfgraph.verify import (
     INDEPENDENCE_IDENTITIES,
     SECTIONS,
@@ -109,6 +110,17 @@ def test_count_row_fails_when_graphs_lie_below_the_line(monkeypatch):
     raised = lambda r: c4_lower_general(r) + Fraction(1, 10**6)
     monkeypatch.setattr("halfgraph.verify.c4_lower_general", raised)
     assert _row("quad.general_line") == ("8 violations", "0", False)
+
+
+def test_one_value_row_fails_on_a_wrong_krein_bound(monkeypatch):
+    monkeypatch.setattr("halfgraph.verify.srg_beta_bound", lambda q, c: Fraction(1, 49))
+    assert _row("srg.q3_c12_krein") == ("1/49", "= 11/560 <= 1/50", False)
+
+
+def test_scan_row_counts_each_mismatched_named_graph(monkeypatch):
+    # the six named SRGs each differ from a closed-form C4 raised by 1
+    monkeypatch.setattr("halfgraph.verify.srg_c4", lambda p: srg_c4(p) + 1)
+    assert _row("srg.closed_form_matches_graphs") == ("6 mismatches", "0", False)
 
 
 def test_general_bound_row_is_27_1024():
