@@ -212,11 +212,18 @@ MUTANTS = [
         "best_doubled, best_mask = value, None",
         [HALVES_TESTS + "test_warm_started_search_matches_the_cold_oracle"],
     ),
-    (  # descent: the vertex swapped out raises its neighbours' degrees into the mask
+    (  # descent: the bin shift moves the swapped-out vertex's neighbours up and the other's down
         HALVES,
-        "deg_in[x] -= 1",
-        "deg_in[x] += 1",
+        "(above & down) | (below & up)",
+        "(below & down) | (above & up)",
         [HALVES_TESTS + "test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs"],
+    ),
+    (  # descent: a common neighbour of the swapped pair moves down and up instead of staying put
+        HALVES,
+        "down, up = adj[u] & ~adj[w], adj[w] & ~adj[u]",
+        "down, up = adj[u], adj[w]",
+        [HALVES_TESTS + "test_steepest_descent_small_cases[common-neighbour]",
+         HALVES_TESTS + "test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs"],
     ),
     (  # spectral floor one edge too high: a descent that meets the true floor is refused
         HALVES,

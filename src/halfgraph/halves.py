@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
 from math import isqrt
 
 from .density import cross_density, part_density
@@ -304,8 +303,7 @@ def beta_exact(g: Graph):
     best_mask = _mask_of(sorted(range(n), key=lambda u: adj[u].bit_count())[:half_size])
     best_doubled = doubled(_induced_edges(adj, best_mask), best_mask)
     if best_doubled:
-        nbrs = [list(_bits(row)) for row in adj]
-        value = doubled(*_steepest_descent(adj, nbrs, best_mask))
+        value = doubled(*_steepest_descent(adj, best_mask))
         if value < best_doubled:
             best_doubled, best_mask = value + 1, None
 
@@ -365,50 +363,48 @@ def beta_exact(g: Graph):
 # ---------------------------------------------------------------------------
 
 
-def _steepest_descent(adj, nbrs, mask: int):
+def _steepest_descent(adj, mask: int):
     """Swap one in-vertex for one out-vertex while that strictly reduces edges.
 
     Takes the swap with the most negative delta; ties break at the
     lexicographically smallest (in-vertex, out-vertex) pair.  Returns
-    (induced edge count, final mask).  `nbrs[v]` lists the neighbours of v
-    (the set bits of adj[v]); after a swap the degrees into the mask are
-    updated by walking the two swapped vertices' lists.
+    (induced edge count, final mask).
 
-    Moving u out of the mask and w into it changes the edges by
-    delta = deg_in[w] - deg_in[u] - A(u, w) >= D0 - 1, where
-    D0 = min out-degree - max in-degree (degrees into the mask).  So the best
-    swap uses an in-vertex of degree max or max - 1 (U0, U1) and an
-    out-vertex of degree min or min + 1 (W0, W1), and one O(n) pass over those
-    masks finds the same pair as a scan of all |in| * |out| pairs:
+    bins[d] is the mask of the vertices with d neighbours in the mask.  Moving
+    u out of the mask and w into it changes the edges by
+    delta = d(w) - d(u) - A(u, w) >= D0 - 1, where D0 = low - top, top the
+    highest bin that meets the mask and low the lowest bin that meets its
+    complement.  So the best swap uses an in-vertex of bin top or top - 1
+    (U0, U1) and an out-vertex of bin low or low + 1 (W0, W1), and a scan of
+    those four masks finds the same pair as a scan of all |in| * |out| pairs:
     delta = D0 - 1 needs u in U0 adjacent to w in W0; failing that,
     delta = D0 takes w in W0 | (W1 & adj[u]) for u in U0 and w in W0 & adj[u]
-    for u in U1.
+    for u in U1.  There are max degree + 2 bins, so bins[low + 1] exists and
+    the last bin, bins[-1], is always empty: top - 1 and low - 1 may be -1.
+
+    After the swap, u's neighbours lose one neighbour in the mask and w's gain
+    one, so down = adj[u] & ~adj[w] moves one bin down and
+    up = adj[w] & ~adj[u] one bin up.  A common neighbour loses u and gains w,
+    so it stays in its bin.  No count moves by more than one and w enters at
+    d(w) - A(u, w) <= low + 1 <= top + 1, so the next top is at most top + 1
+    and the next low at least low - 1; the scans for them start there.  A swap
+    costs O(max degree) mask operations and no pass over the vertices.
     """
-    n = len(adj)
-    deg_in = [(row & mask).bit_count() for row in adj]
-    inside = [mask >> v & 1 for v in range(n)]
-    outside = [1 - f for f in inside]
-    edges = sum(compress(deg_in, inside)) // 2
-    vertices = range(n)
+    bins = [0] * (max(row.bit_count() for row in adj) + 2)
+    for v, row in enumerate(adj):
+        bins[(row & mask).bit_count()] |= 1 << v
+    edges = sum(d * (b & mask).bit_count() for d, b in enumerate(bins)) // 2
+    top, low = len(bins) - 1, -1
     while True:
-        top = max(compress(deg_in, inside))
-        low = min(compress(deg_in, outside))
+        while not bins[top] & mask:
+            top -= 1
+        while not bins[low] & ~mask:
+            low += 1
         d0 = low - top
         if d0 > 0:
             return edges, mask
-        u0 = u1 = w0 = w1 = 0
-        wanted = (top, top - 1, low, low + 1).__contains__
-        for v in compress(vertices, map(wanted, deg_in)):
-            d = deg_in[v]
-            if inside[v]:
-                if d == top:
-                    u0 |= 1 << v
-                elif d == top - 1:
-                    u1 |= 1 << v
-            elif d == low:
-                w0 |= 1 << v
-            elif d == low + 1:
-                w1 |= 1 << v
+        u0, u1 = bins[top] & mask, bins[top - 1] & mask
+        w0, w1 = bins[low] & ~mask, bins[low + 1] & ~mask
         for u in _bits(u0):
             hits = adj[u] & w0
             if hits:
@@ -424,13 +420,12 @@ def _steepest_descent(adj, nbrs, mask: int):
                     break
         w = (hits & -hits).bit_length() - 1
         mask ^= (1 << u) | (1 << w)
-        inside[u] = outside[w] = 0
-        inside[w] = outside[u] = 1
         edges += delta
-        for x in nbrs[u]:
-            deg_in[x] -= 1
-        for x in nbrs[w]:
-            deg_in[x] += 1
+        down, up = adj[u] & ~adj[w], adj[w] & ~adj[u]
+        keep = ~(down | up)
+        bins = [here & keep | (above & down) | (below & up)
+                for below, here, above in zip([0, *bins], bins, [*bins[1:], 0])]
+        top, low = top + 1, low - 1
 
 
 def _edge_floor(g: Graph) -> int:
@@ -465,13 +460,12 @@ def local_search_half(g: Graph, seed: int = 1) -> BoundCertificate:
     if g.n % 2:
         raise ValueError("local search needs even n; blow the graph up by 2 first")
     half_size = g.n // 2
-    nbrs = [list(_bits(row)) for row in g.adj]
     floor = _edge_floor(g)
     best = None
     for r in range(RESTARTS):
         rng = random.Random(f"{seed}:{r}")
         mask = _mask_of(rng.sample(range(g.n), half_size))
-        edges, final_mask = _steepest_descent(g.adj, nbrs, mask)
+        edges, final_mask = _steepest_descent(g.adj, mask)
         require(edges >= floor, f"local search: {edges} induced edges, below the floor {floor}")
         if best is None or edges < best[0]:
             best = (edges, final_mask, r)

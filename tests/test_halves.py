@@ -449,7 +449,7 @@ def _descent_undercuts_the_incumbent(g):
         return 2 * _subset_edges(adj, mask) + extra
 
     start = sum(1 << v for v in sorted(range(n), key=lambda u: adj[u].bit_count())[:n // 2])
-    _, found = _steepest_descent(adj, [list(_bits(row)) for row in adj], start)
+    _, found = _steepest_descent(adj, start)
     return doubled(found) < doubled(start)
 
 
@@ -708,19 +708,43 @@ def even_graphs_and_starts(draw, max_n=40):
 @given(even_graphs_and_starts())
 def test_steepest_descent_matches_the_all_pairs_oracle(case):
     g, mask = case
-    nbrs = [list(_bits(row)) for row in g.adj]
-    assert _steepest_descent(g.adj, nbrs, mask) == _oracle_steepest_descent(g.adj, g.n, mask)
+    assert _steepest_descent(g.adj, mask) == _oracle_steepest_descent(g.adj, g.n, mask)
 
 
 def test_steepest_descent_matches_the_oracle_on_strongly_regular_graphs():
+    # up to 24 bins in play (Higman-Sims is 22-regular); M22 has odd n, so its starts are 38-sets
     rng = random.Random(53)
-    for name in ("petersen", "clebsch", "hoffman_singleton"):
+    for name in ("petersen", "clebsch", "hoffman_singleton", "gewirtz", "m22", "higman_sims"):
         g = named(name).graph
-        nbrs = [list(_bits(row)) for row in g.adj]
         for _ in range(10):
             mask = sum(1 << v for v in rng.sample(range(g.n), g.n // 2))
-            expected = _oracle_steepest_descent(g.adj, g.n, mask)
-            assert _steepest_descent(g.adj, nbrs, mask) == expected
+            assert _steepest_descent(g.adj, mask) == _oracle_steepest_descent(g.adj, g.n, mask)
+
+
+_C5_AND_THREE_ISOLATED = Graph.from_edges(8, [(i, (i + 1) % 5) for i in range(5)])
+_P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("g, start, expected", [
+    # no edges: nothing to gain, so the start comes back at once
+    (empty(6), 0b101010, (0, 0b101010)),
+    # the path {0, 1, 2, 3} of C5 spans 3 edges; the descent swaps 1 and then 2
+    # out for the isolated 5 and 6 (bin 0), ending at the independent {0, 3, 5, 6}
+    (_C5_AND_THREE_ISOLATED, 0b1111, (0, 0b1101001)),
+    # vertices 0-4 of Petersen's disjointness graph span 2 edges, its minimum
+    (petersen(), 0b11111, (2, 0b11111)),
+    # 2 is swapped for 0, and their common neighbour 1 keeps its one neighbour
+    # in the half, so no further swap looks improving
+    (_P4, 0b1100, (0, 0b1001)),
+], ids=["edgeless", "isolated-vertices", "local-minimum", "common-neighbour"])
+def test_steepest_descent_small_cases(g, start, expected):
+    assert _steepest_descent(g.adj, start) == expected
+    assert _oracle_steepest_descent(g.adj, g.n, start) == expected
+
+
+def test_local_search_on_a_graph_without_vertices_is_a_value_error():
+    with pytest.raises(ValueError):
+        local_search_half(Graph(0, []))
 
 
 # seed -> (mask of the 175-edge half, restart that found it)
